@@ -28,13 +28,7 @@ final class ATablePerVersion(spark: SparkSession, dir: Path) extends CvdStore(sp
     df.select("rid", attrCols(df): _*)
   }
 
-  override def commit(table: DataFrame, parents: Seq[Int]): Int = {
-    val vid = nextVid
-    val withRids = assignRids(table)
-    withRids.withColumn("vid", lit(vid))
+  override protected def write(vid: Int, parents: Seq[Int], c: CvdStore.Commit): Unit =
+    c.table.withColumn("vid", lit(vid))
       .write.mode("append").partitionBy("vid").parquet(tablesDir)
-    parentsOf(vid) = parents
-    nextVid += 1
-    vid
-  }
 }

@@ -1,6 +1,6 @@
 package repro.core.model
 
-import java.nio.file.{Files, Path}
+import java.nio.file.Path
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.VersionGraph
@@ -37,34 +37,19 @@ final class CombinedTable(spark: SparkSession, dir: Path) extends CvdStore(spark
     df.select("rid", attrCols(df): _*)
   }
 
-  override def commit(table: DataFrame, parents: Seq[Int]): Int = {
-    val vid = nextVid
-    val withRids = assignRids(table)
-    val keptRids = withRids.select(col("rid")).withColumn("__in", lit(true))
+  override protected def write(vid: Int, parents: Seq[Int], c: CvdStore.Commit): Unit = {
+    val versionRids = CvdStore.ridsDF(spark, c.records).withColumn("__in", lit(true))
     val old = spark.read.parquet(current)
     // Rewrite every record's vlist; records absent from T' pass through.
-    val updated = old.join(keptRids, Seq("rid"), "left")
+    val updated = old.join(versionRids, Seq("rid"), "left")
       .withColumn("vlist",
         when(col("__in").isNotNull, concat(col("vlist"), array(lit(vid))))
           .otherwise(col("vlist")))
       .drop("__in")
-    val freshRows = withRids
-      .join(old.select("rid"), Seq("rid"), "left_anti")
-      .withColumn("vlist", array(lit(vid)))
+    val freshRows = c.fresh.withColumn("vlist", array(lit(vid)))
     val next = gen + 1
     updated.unionByName(freshRows).write.mode("overwrite").parquet(tableDir(next).toString)
-    deleteRecursively(tableDir(gen))
+    CvdStore.deleteRecursively(tableDir(gen))
     gen = next
-    parentsOf(vid) = parents
-    nextVid += 1
-    vid
-  }
-
-  private def deleteRecursively(p: Path): Unit = {
-    if (Files.exists(p)) {
-      val s = Files.walk(p)
-      try s.sorted(java.util.Comparator.reverseOrder()).forEach(Files.delete(_))
-      finally s.close()
-    }
   }
 }

@@ -2,8 +2,9 @@ package repro.core.model
 
 import java.nio.file.{Files, Path}
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import repro.core.{IntervalSet, Version, VersionGraph}
+import repro.core.{IntervalSet, VersionGraph}
 import scala.collection.mutable
 
 /** A collaborative versioned dataset (CVD) store — Chapter 4.
@@ -24,6 +25,8 @@ import scala.collection.mutable
   * across models and against the DuckDB oracle.
   */
 abstract class CvdStore(val spark: SparkSession, val dir: Path) {
+  import CvdStore.Commit
+
   Files.createDirectories(dir)
 
   /** Model name as used in the paper's figures. */
@@ -44,14 +47,37 @@ abstract class CvdStore(val spark: SparkSession, val dir: Path) {
     * the committed table is only compared against its parents, which the
     * middleware did at checkout time by retaining rids on unmodified
     * rows). Returns the new vid.
+    *
+    * Throws `IllegalArgumentException`, before anything is written, when
+    * a parent is unknown, a non-null rid repeats, or a non-null rid is in
+    * no parent.
     */
-  def commit(table: DataFrame, parents: Seq[Int]): Int
-
-  /** diff command: records in `vidA` but not in `vidB` (§3.3.1). */
-  def diffVersions(vidA: Int, vidB: Int): DataFrame = {
-    val a = checkout(vidA); val b = checkout(vidB)
-    a.join(b.select("rid"), Seq("rid"), "left_anti")
+  final def commit(table: DataFrame, parents: Seq[Int]): Int = {
+    val c = assignRids(table, parents)
+    val vid = nextVid
+    write(vid, parents, c)
+    parentsOf(vid) = parents
+    recordsOf(vid) = c.records
+    nextVid += 1
+    vid
   }
+
+  /** Persist version `vid`: its rows are `c.table`, of which `c.fresh`
+    * are records new to the store.
+    */
+  protected def write(vid: Int, parents: Seq[Int], c: Commit): Unit
+
+  /** diff command: records in `vidA` but not in `vidB` (§3.3.1). The rid
+    * sets come from the driver, so only the differing rows are read.
+    */
+  def diffVersions(vidA: Int, vidB: Int): DataFrame =
+    rowsOf(vidA, recordsOf(vidA).diff(recordsOf(vidB)))
+
+  /** The rows of version `vid` whose rid is in `rids` (a subset of its
+    * records), with the checkout schema.
+    */
+  protected def rowsOf(vid: Int, rids: IntervalSet): DataFrame =
+    checkout(vid).join(CvdStore.ridsDF(spark, rids), Seq("rid"), "left_semi")
 
   /** Total bytes on disk for the store. */
   def storageBytes: Long = CvdStore.du(dir)
@@ -60,6 +86,8 @@ abstract class CvdStore(val spark: SparkSession, val dir: Path) {
 
   /** Driver-side version metadata: vid -> parents (the metadata table). */
   protected val parentsOf = mutable.Map.empty[Int, Seq[Int]]
+  /** Driver-side version metadata: vid -> the version's record set. */
+  protected val recordsOf = mutable.Map.empty[Int, IntervalSet]
   protected var nextVid: Int = 0
   protected var nextRid: Long = 0L
 
@@ -67,25 +95,41 @@ abstract class CvdStore(val spark: SparkSession, val dir: Path) {
   def parents(vid: Int): Seq[Int] = parentsOf(vid)
 
   protected def registerGraph(graph: VersionGraph): Unit = {
-    graph.versions.foreach(v => parentsOf(v.vid) = v.parents)
+    graph.versions.foreach { v =>
+      parentsOf(v.vid) = v.parents
+      recordsOf(v.vid) = v.records
+    }
     nextVid = graph.numVersions
     nextRid = graph.allRecords.intervals.lastOption.map(_._2 + 1).getOrElse(0L)
   }
 
-  /** Assign fresh rids to rows whose rid is null; leaves others alone.
-    * Fresh rids are `nextRid + rank-by-pk` (deterministic). Advances
-    * `nextRid` by the number of new rows (one count action).
+  /** The commit front end: one job collects the table's rids, which are
+    * validated against the parents on the driver. Rows with a null rid get
+    * `nextRid + rank - 1`, ranked by pk and then the value columns, so
+    * equal input assigns equal rids. Advances `nextRid` past them.
     */
-  protected def assignRids(table: DataFrame): DataFrame = {
-    import org.apache.spark.sql.expressions.Window
-    val kept    = table.where(col("rid").isNotNull)
-    val fresh   = table.where(col("rid").isNull)
-    val nFresh  = fresh.count()
-    val w       = Window.orderBy("pk")
-    val numbered = fresh.withColumn(
-      "rid", row_number().over(w).cast("long") + lit(nextRid) - 1)
+  private def assignRids(table: DataFrame, parents: Seq[Int]): Commit = {
+    val unknown = parents.filterNot(recordsOf.contains)
+    require(unknown.isEmpty, s"commit rejected: unknown parent version(s) ${unknown.mkString(", ")}")
+    val rids = table.select("rid").collect()
+    val kept = rids.iterator.filterNot(_.isNullAt(0)).map(_.getLong(0)).toVector
+    val keptSet = IntervalSet.fromSeq(kept)
+    if (keptSet.size != kept.size) {
+      val dup = kept.groupBy(identity).collectFirst { case (r, rs) if rs.size > 1 => r }.get
+      throw new IllegalArgumentException(
+        s"commit rejected: ${kept.size - keptSet.size} repeated rid(s), e.g. rid $dup")
+    }
+    val foreign = keptSet.diff(IntervalSet.unionAll(parents.map(recordsOf)))
+    require(foreign.isEmpty,
+      s"commit rejected: ${foreign.size} rid(s) in no parent of ${parents.mkString("[", ", ", "]")}, " +
+        s"e.g. rid ${foreign.intervals.head._1}")
+    val nFresh = rids.length - kept.size
+    val order = ("pk" +: attrCols(table).filterNot(_ == "pk")).map(col)
+    val fresh = table.where(col("rid").isNull).withColumn(
+      "rid", row_number().over(Window.orderBy(order: _*)).cast("long") + lit(nextRid) - 1)
+    val records = keptSet.union(IntervalSet.range(nextRid, nextRid + nFresh - 1))
     nextRid += nFresh
-    kept.unionByName(numbered.select(kept.columns.map(col).toSeq: _*))
+    Commit(table.where(col("rid").isNotNull).unionByName(fresh), fresh, records)
   }
 
   protected def attrCols(df: DataFrame): Seq[String] =
@@ -93,6 +137,12 @@ abstract class CvdStore(val spark: SparkSession, val dir: Path) {
 }
 
 object CvdStore {
+  /** A validated commit: `table` is every row of the new version with its
+    * rid, `fresh` only the rows given fresh rids, `records` the version's
+    * record set.
+    */
+  final case class Commit(table: DataFrame, fresh: DataFrame, records: IntervalSet)
+
   /** Recursive on-disk size of a directory, in bytes. */
   def du(p: Path): Long = {
     if (!Files.exists(p)) return 0L
@@ -101,28 +151,30 @@ object CvdStore {
     finally s.close()
   }
 
-  /** DataFrame of the (vid, rid) membership pairs for one version, from
-    * its interval-encoded record set.
-    */
-  def versionRids(spark: SparkSession, v: Version): DataFrame = {
-    import spark.implicits._
-    v.records.intervals.toDF("s", "e")
-      .select(explode(expr("sequence(s, e)")) as "rid")
+  /** Delete a file or directory tree if it exists. */
+  def deleteRecursively(p: Path): Unit = {
+    if (Files.exists(p)) {
+      val s = Files.walk(p)
+      try s.sorted(java.util.Comparator.reverseOrder()).forEach(Files.delete(_))
+      finally s.close()
+    }
   }
 
-  /** DataFrame of (vid, rid) pairs for a whole graph. */
-  def membership(spark: SparkSession, graph: VersionGraph): DataFrame = {
+  /** One `rid` row per member of `s`, exploded from its intervals. */
+  def ridsDF(spark: SparkSession, s: IntervalSet): DataFrame = {
     import spark.implicits._
-    graph.versions
-      .flatMap(v => v.records.intervals.map { case (s, e) => (v.vid, s, e) })
+    s.intervals.toDF("s", "e").select(explode(expr("sequence(s, e)")) as "rid")
+  }
+
+  /** DataFrame of (vid, rid) membership pairs for the given record sets. */
+  def membership(spark: SparkSession, sets: Seq[(Int, IntervalSet)]): DataFrame = {
+    import spark.implicits._
+    sets.flatMap { case (vid, s) => s.intervals.map { case (a, b) => (vid, a, b) } }
       .toDF("vid", "s", "e")
       .select(col("vid"), explode(expr("sequence(s, e)")) as "rid")
   }
 
-  /** Interval set of the rids present in a (rid,...) DataFrame — collects
-    * only rid values; used when a store must learn the record set of a
-    * freshly committed table.
-    */
-  def ridSet(df: DataFrame): IntervalSet =
-    IntervalSet.fromSeq(df.select("rid").collect().map(_.getLong(0)).toSeq)
+  /** DataFrame of (vid, rid) pairs for a whole graph. */
+  def membership(spark: SparkSession, graph: VersionGraph): DataFrame =
+    membership(spark, graph.versions.map(v => v.vid -> v.records))
 }

@@ -24,39 +24,27 @@ final class DeltaBased(spark: SparkSession, dir: Path) extends CvdStore(spark, d
   /** Precedent metadata table: vid -> base vid (-1 for the root). */
   private val baseOf = mutable.Map.empty[Int, Int]
 
-  /** Driver-side record sets (the version manager's metadata) — needed to
-    * pick the max-overlap base parent on commit.
-    */
-  private val recordSets = mutable.Map.empty[Int, IntervalSet]
-
   override def load(data: DataFrame, graph: VersionGraph): Unit = {
-    import spark.implicits._
     registerGraph(graph)
-    graph.versions.foreach(v => recordSets(v.vid) = v.records)
     graph.versions.foreach(v => baseOf(v.vid) = graph.treeParent(v.vid))
     // Insert deltas: (vid, rid) pairs for records new at each version.
-    val insPairs = graph.versions.flatMap { v =>
+    val insPairs = graph.versions.map { v =>
       val basisRecords =
         if (v.parents.isEmpty) IntervalSet.empty
         else graph.versions(graph.treeParent(v.vid)).records
-      v.records.diff(basisRecords).intervals.map { case (s, e) => (v.vid, s, e) }
+      v.vid -> v.records.diff(basisRecords)
     }
-    insPairs.toDF("vid", "s", "e")
-      .select(col("vid"), explode(expr("sequence(s, e)")) as "rid")
+    CvdStore.membership(spark, insPairs)
       .join(data, Seq("rid"))
       .write.mode("overwrite").partitionBy("vid").parquet(insDir)
     // Tombstones: (vid, rid) for records of the base absent from the child.
     val delPairs = graph.versions.flatMap { v =>
-      if (v.parents.isEmpty) Seq.empty
-      else {
-        val basisRecords = graph.versions(graph.treeParent(v.vid)).records
-        basisRecords.diff(v.records).intervals.map { case (s, e) => (v.vid, s, e) }
-      }
+      if (v.parents.isEmpty) None
+      else Some(v.vid -> graph.versions(graph.treeParent(v.vid)).records.diff(v.records))
     }
     // del stays non-partitioned: a zero-row partitioned write leaves an
     // unreadable (schema-less) directory.
-    delPairs.toDF("vid", "s", "e")
-      .select(col("vid"), explode(expr("sequence(s, e)")) as "rid")
+    CvdStore.membership(spark, delPairs)
       .write.mode("overwrite").parquet(delDir)
   }
 
@@ -78,35 +66,20 @@ final class DeltaBased(spark: SparkSession, dir: Path) extends CvdStore(spark, d
     acc.select("rid", attrCols(acc): _*)
   }
 
-  override def commit(table: DataFrame, parents: Seq[Int]): Int = {
-    val vid = nextVid
-    val withRids = assignRids(table)
-    val newSet = CvdStore.ridSet(withRids)
+  override protected def write(vid: Int, parents: Seq[Int], c: CvdStore.Commit): Unit = {
     val base =
       if (parents.isEmpty) -1
-      else parents.maxBy(p => recordSets(p).intersectSize(newSet))
-    val baseSet = if (base >= 0) recordSets(base) else IntervalSet.empty
-    val insSet = newSet.diff(baseSet)
-    val delSet = baseSet.diff(newSet)
+      else parents.maxBy(p => recordsOf(p).intersectSize(c.records))
+    val baseSet = if (base >= 0) recordsOf(base) else IntervalSet.empty
     // Inserted full rows.
-    val insRids = intervalDF(insSet)
-    withRids.join(insRids, Seq("rid"))
+    c.table.join(CvdStore.ridsDF(spark, c.records.diff(baseSet)), Seq("rid"))
       .withColumn("vid", lit(vid))
       .write.mode("append").partitionBy("vid").parquet(insDir)
     // Tombstoned rids.
-    intervalDF(delSet)
+    CvdStore.ridsDF(spark, baseSet.diff(c.records))
       .withColumn("vid", lit(vid))
       .select("vid", "rid")
       .write.mode("append").parquet(delDir)
-    recordSets(vid) = newSet
     baseOf(vid) = base
-    parentsOf(vid) = parents
-    nextVid += 1
-    vid
-  }
-
-  private def intervalDF(s: IntervalSet): DataFrame = {
-    import spark.implicits._
-    s.intervals.toDF("s", "e").select(explode(expr("sequence(s, e)")) as "rid")
   }
 }

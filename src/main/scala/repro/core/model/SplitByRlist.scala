@@ -3,18 +3,18 @@ package repro.core.model
 import java.nio.file.Path
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.VersionGraph
+import repro.core.{IntervalSet, VersionGraph}
 
 /** Approach 4.3: data table + versioning table keyed by vid — the data
   * model OrpheusDB adopts.
   *
   * Data table: (rid, pk, a*). Versioning table: (vid, rlist ARRAY<BIGINT>).
   *
-  * Commit appends a *single row* (the new vid and its rlist) to the
-  * versioning table and the net-new records to the data table — no array
-  * rewrite at all, which is why the paper picks this model. Checkout
-  * looks up one versioning row, unnests the rlist, and hash-joins the
-  * data table.
+  * Commit appends a *single row* (the new vid and its rlist, built on the
+  * driver from the version's record set) to the versioning table and the
+  * net-new records to the data table — no array rewrite at all, which is
+  * why the paper picks this model. Checkout looks up one versioning row,
+  * unnests the rlist, and hash-joins the data table.
   */
 final class SplitByRlist(spark: SparkSession, dir: Path) extends CvdStore(spark, dir) {
   override def name: String = "split-by-rlist"
@@ -38,20 +38,17 @@ final class SplitByRlist(spark: SparkSession, dir: Path) extends CvdStore(spark,
     df.select("rid", attrCols(df): _*)
   }
 
-  override def commit(table: DataFrame, parents: Seq[Int]): Int = {
-    val vid = nextVid
-    val withRids = assignRids(table)
-    // One-row append to the versioning table.
-    withRids.select("rid")
-      .agg(sort_array(collect_list(col("rid"))) as "rlist")
-      .withColumn("vid", lit(vid))
-      .select("vid", "rlist")
+  override protected def write(vid: Int, parents: Seq[Int], c: CvdStore.Commit): Unit = {
+    import spark.implicits._
+    // One-row append to the versioning table, built from the record set.
+    Seq((vid, c.records.toSeq)).toDF("vid", "rlist")
       .write.mode("append").parquet(versioningDir)
-    // Append net-new records to the data table.
-    withRids.join(spark.read.parquet(dataDir).select("rid"), Seq("rid"), "left_anti")
-      .write.mode("append").parquet(dataDir)
-    parentsOf(vid) = parents
-    nextVid += 1
-    vid
+    c.fresh.write.mode("append").parquet(dataDir)
+  }
+
+  /** Reads the rows straight from the data table: no versioning lookup. */
+  override protected def rowsOf(vid: Int, rids: IntervalSet): DataFrame = {
+    val df = spark.read.parquet(dataDir).join(CvdStore.ridsDF(spark, rids), Seq("rid"), "left_semi")
+    df.select("rid", attrCols(df): _*)
   }
 }

@@ -1,6 +1,6 @@
 package repro.core.model
 
-import java.nio.file.{Files, Path}
+import java.nio.file.Path
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.VersionGraph
@@ -39,37 +39,20 @@ final class SplitByVlist(spark: SparkSession, dir: Path) extends CvdStore(spark,
     df.select("rid", attrCols(df): _*)
   }
 
-  override def commit(table: DataFrame, parents: Seq[Int]): Int = {
-    val vid = nextVid
-    val withRids = assignRids(table)
-    val keptRids = withRids.select("rid").withColumn("__in", lit(true))
+  override protected def write(vid: Int, parents: Seq[Int], c: CvdStore.Commit): Unit = {
+    val versionRids = CvdStore.ridsDF(spark, c.records).withColumn("__in", lit(true))
     val old = spark.read.parquet(versioning)
-    val updated = old.join(keptRids, Seq("rid"), "left")
+    val updated = old.join(versionRids, Seq("rid"), "left")
       .withColumn("vlist",
         when(col("__in").isNotNull, concat(col("vlist"), array(lit(vid))))
           .otherwise(col("vlist")))
       .drop("__in")
-    val freshRows = withRids.select("rid")
-      .join(old.select("rid"), Seq("rid"), "left_anti")
-      .withColumn("vlist", array(lit(vid)))
+    val freshRows = c.fresh.select(col("rid"), array(lit(vid)) as "vlist")
     val next = gen + 1
     updated.unionByName(freshRows)
       .write.mode("overwrite").parquet(versioningDir(next).toString)
-    deleteRecursively(versioningDir(gen))
+    CvdStore.deleteRecursively(versioningDir(gen))
     gen = next
-    // Append only net-new records to the data table.
-    withRids.join(spark.read.parquet(dataDir).select("rid"), Seq("rid"), "left_anti")
-      .write.mode("append").parquet(dataDir)
-    parentsOf(vid) = parents
-    nextVid += 1
-    vid
-  }
-
-  private def deleteRecursively(p: Path): Unit = {
-    if (Files.exists(p)) {
-      val s = Files.walk(p)
-      try s.sorted(java.util.Comparator.reverseOrder()).forEach(Files.delete(_))
-      finally s.close()
-    }
+    c.fresh.write.mode("append").parquet(dataDir)
   }
 }

@@ -3,7 +3,7 @@ package repro.core.partition
 import java.nio.file.{Files, Path}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.{IntervalSet, VersionGraph}
+import repro.core.VersionGraph
 import repro.core.model.CvdStore
 import scala.collection.mutable
 
@@ -37,20 +37,17 @@ final class PartitionedStore(val spark: SparkSession, val dir: Path) {
   }
 
   private def writePartition(master: DataFrame, pid: Int, members: Seq[Int]): Unit = {
-    import spark.implicits._
-    val recs = CostModel.partitionRecords(graph, members)
-    val rids = recs.intervals.toDF("s", "e")
-      .select(explode(expr("sequence(s, e)")) as "rid")
+    val rids = CvdStore.ridsDF(spark, CostModel.partitionRecords(graph, members))
     master.join(rids, Seq("rid"))
       .write.mode("overwrite").parquet(partDir(pid).resolve("data").toString)
-    val vRows = members.flatMap { v =>
-      graph.versions(v).records.intervals.map { case (a, b) => (v, a, b) }
-    }
-    vRows.toDF("vid", "s", "e")
-      .select(col("vid"), explode(expr("sequence(s, e)")) as "rid")
-      .groupBy("vid").agg(sort_array(collect_list(col("rid"))) as "rlist")
-      .write.mode("overwrite").parquet(partDir(pid).resolve("versioning").toString)
+    writeVersioning(members, partDir(pid).resolve("versioning"))
   }
+
+  /** The (vid, rlist) versioning table of the `members` versions. */
+  private def writeVersioning(members: Seq[Int], out: Path): Unit =
+    CvdStore.membership(spark, members.map(v => v -> graph.versions(v).records))
+      .groupBy("vid").agg(sort_array(collect_list(col("rid"))) as "rlist")
+      .write.mode("overwrite").parquet(out.toString)
 
   /** Materialize version `vid` (schema rid, pk, a*) — touches only the
     * partition containing it.
@@ -77,20 +74,17 @@ final class PartitionedStore(val spark: SparkSession, val dir: Path) {
     * seconds spent rewriting partition data.
     */
   def migrate(newScheme: PartitionScheme, plan: Migration.Plan): Double = {
-    import spark.implicits._
     val t0 = System.nanoTime()
     val master = spark.read.parquet(masterDir)
     val tmp = dir.resolve("migrating")
-    deleteRecursively(tmp)
+    CvdStore.deleteRecursively(tmp)
     Files.createDirectories(tmp)
     for (a <- plan.assignments) {
       val members = newScheme.versionsOf(a.newPid)
-      val target = CostModel.partitionRecords(graph, members)
+      val targetRids = CvdStore.ridsDF(spark, CostModel.partitionRecords(graph, members))
       val dataOut = tmp.resolve(s"part-${a.newPid}")
       a.fromOldPid match {
         case Some(oldPid) =>
-          val targetRids = target.intervals.toDF("s", "e")
-            .select(explode(expr("sequence(s, e)")) as "rid")
           val oldData = spark.read.parquet(partDir(oldPid).resolve("data").toString)
           // Keep overlapping records from the old partition, fetch the
           // inserts from the master table.
@@ -100,34 +94,18 @@ final class PartitionedStore(val spark: SparkSession, val dir: Path) {
           keep.unionByName(ins)
             .write.mode("overwrite").parquet(dataOut.resolve("data").toString)
         case None =>
-          val targetRids = target.intervals.toDF("s", "e")
-            .select(explode(expr("sequence(s, e)")) as "rid")
           master.join(targetRids, Seq("rid"), "left_semi")
             .write.mode("overwrite").parquet(dataOut.resolve("data").toString)
       }
-      val vRows = members.flatMap { v =>
-        graph.versions(v).records.intervals.map { case (x, y) => (v, x, y) }
-      }
-      vRows.toDF("vid", "s", "e")
-        .select(col("vid"), explode(expr("sequence(s, e)")) as "rid")
-        .groupBy("vid").agg(sort_array(collect_list(col("rid"))) as "rlist")
-        .write.mode("overwrite").parquet(dataOut.resolve("versioning").toString)
+      writeVersioning(members, dataOut.resolve("versioning"))
     }
     // Swap in the new partitions.
-    for (p <- 0 until scheme.numPartitions) deleteRecursively(partDir(p))
+    for (p <- 0 until scheme.numPartitions) CvdStore.deleteRecursively(partDir(p))
     for (a <- plan.assignments) {
       Files.move(tmp.resolve(s"part-${a.newPid}"), partDir(a.newPid))
     }
-    deleteRecursively(tmp)
+    CvdStore.deleteRecursively(tmp)
     scheme = newScheme
     (System.nanoTime() - t0) / 1e9
-  }
-
-  private def deleteRecursively(p: Path): Unit = {
-    if (Files.exists(p)) {
-      val s = Files.walk(p)
-      try s.sorted(java.util.Comparator.reverseOrder()).forEach(Files.delete(_))
-      finally s.close()
-    }
   }
 }

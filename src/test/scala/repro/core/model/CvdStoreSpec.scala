@@ -6,6 +6,7 @@ import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec}
 import repro.core.VersioningBenchmark
+import scala.jdk.CollectionConverters._
 
 /** Every data model must produce identical checkout results; each
   * checkout is verified against DuckDB over the raw membership + data
@@ -35,14 +36,64 @@ class CvdStoreSpec extends AnyFunSuite with SparkSpec {
     ss
   }
 
+  /** Loaded stores that the commit-chain tests write to. */
+  private lazy val committing: Seq[CvdStore] = {
+    val ss = makeStores()
+    ss.foreach(_.load(data, graph))
+    ss
+  }
+
+  private def asStrings(df: DataFrame): DataFrame =
+    df.select(Seq("rid", "pk", "a1", "a2").map(c => col(c).cast("string") as c): _*)
+
+  /** Version `vid` as loaded, from the raw data and membership tables. */
+  private def versionSql(vid: Int): String =
+    s"""SELECT d.rid AS rid, d.pk AS pk, d.a1 AS a1, d.a2 AS a2
+       |FROM data d JOIN membership m ON d.rid = m.rid
+       |WHERE m.vid = '$vid'""".stripMargin
+
+  /** The rows of committed table `t` that get fresh rids: numbered from
+    * `firstRid` in (pk, a1, a2) order.
+    */
+  private def freshSql(t: String, firstRid: Long): String =
+    s"""SELECT CAST($firstRid - 1 + ROW_NUMBER() OVER (ORDER BY CAST(pk AS BIGINT),
+       |  CAST(a1 AS BIGINT), CAST(a2 AS BIGINT)) AS VARCHAR) AS rid, pk, a1, a2
+       |FROM $t WHERE rid IS NULL""".stripMargin
+
+  /** The version a commit of table `t` creates. */
+  private def committedSql(t: String, firstRid: Long): String =
+    s"SELECT rid, pk, a1, a2 FROM $t WHERE rid IS NOT NULL UNION ALL ${freshSql(t, firstRid)}"
+
+  /** The rows of the parent `parentSql` that committed table `t` replaced. */
+  private def replacedSql(parentSql: String, t: String): String =
+    s"SELECT * FROM ($parentSql) p WHERE rid NOT IN (SELECT rid FROM $t WHERE rid IS NOT NULL)"
+
   private def oracleCheckout(df: DataFrame, vid: Int): Unit =
-    Oracle.assertEquivalent(
-      df.select(col("rid").cast("string") as "rid", col("pk").cast("string") as "pk",
-                col("a1").cast("string") as "a1", col("a2").cast("string") as "a2"),
-      s"""SELECT d.rid AS rid, d.pk AS pk, d.a1 AS a1, d.a2 AS a2
-         |FROM data d JOIN membership m ON d.rid = m.rid
-         |WHERE m.vid = '$vid'""".stripMargin,
+    Oracle.assertEquivalent(asStrings(df), versionSql(vid),
       "data" -> data, "membership" -> membership)
+
+  private def versionRows(vid: Int): DataFrame =
+    data.join(membership.where(col("vid") === vid).select("rid"), Seq("rid"))
+
+  /** `rows` with every `every`-th pk edited (rid nulled, a1 = -1) and
+    * `fresh` rows with new pks from `firstPk` appended, materialized so the
+    * store's later rewrites cannot change it.
+    */
+  private def edit(rows: DataFrame, every: Int, fresh: Long, firstPk: Long): DataFrame = {
+    val hit = pmod(col("pk"), lit(every)) === 0
+    val changed = rows.where(hit)
+      .withColumn("rid", lit(null).cast("long")).withColumn("a1", lit(-1L))
+    val added = spark.range(firstPk, firstPk + fresh).select(
+      lit(null).cast("long") as "rid", col("id") as "pk", col("id") as "a1", lit(0L) as "a2")
+    rows.where(!hit).unionByName(changed).unionByName(added).localCheckpoint()
+  }
+
+  private def files(s: CvdStore): Set[(String, Long)] = {
+    val w = Files.walk(s.dir)
+    try w.iterator().asScala.filter(Files.isRegularFile(_))
+      .map(f => f.toString -> Files.size(f)).toSet
+    finally w.close()
+  }
 
   for (storeIdx <- 0 until 5) {
     val names = Seq("a-table-per-version", "combined-table", "split-by-vlist",
@@ -66,6 +117,49 @@ class CvdStoreSpec extends AnyFunSuite with SparkSpec {
       assert(s.diffVersions(3, 3).count() == 0)
       val expected = graph.versions(5).records.diff(graph.versions(3).records).size
       assert(s.diffVersions(5, 3).count() == expected)
+    }
+
+    test(s"${names(storeIdx)}: diff of two loaded versions matches DuckDB") {
+      Oracle.assertEquivalent(asStrings(stores(storeIdx).diffVersions(5, 3)),
+        s"SELECT * FROM (${versionSql(5)}) a WHERE rid NOT IN (SELECT rid FROM membership WHERE vid = '3')",
+        "data" -> data, "membership" -> membership)
+    }
+
+    test(s"${names(storeIdx)}: a commit on top of a commit: checkouts and diffs match DuckDB") {
+      val s = committing(storeIdx)
+      val last = graph.numVersions - 1
+      val first = graph.allRecords.intervals.last._2 + 1
+      val t1 = edit(versionRows(last), every = 7, fresh = 5, firstPk = 100000L)
+      val n1 = t1.where(col("rid").isNull).count()
+      val v1 = s.commit(t1, Seq(last))
+      val t2 = edit(s.checkout(v1), every = 5, fresh = 3, firstPk = 200000L)
+      val v2 = s.commit(t2, Seq(v1))
+      val tables = Seq("data" -> data, "membership" -> membership, "t1" -> t1, "t2" -> t2)
+      val c1 = committedSql("t1", first)
+      for ((df, sql) <- Seq(
+          s.checkout(v1) -> c1,
+          s.checkout(v2) -> committedSql("t2", first + n1),
+          s.diffVersions(v1, last) -> freshSql("t1", first),
+          s.diffVersions(last, v1) -> replacedSql(versionSql(last), "t1"),
+          s.diffVersions(v2, v1) -> freshSql("t2", first + n1),
+          s.diffVersions(v1, v2) -> replacedSql(c1, "t2")))
+        Oracle.assertEquivalent(asStrings(df), sql, tables: _*)
+      assert(s.numVersions == graph.numVersions + 2 && s.parents(v2) == Seq(v1))
+    }
+
+    test(s"${names(storeIdx)}: commit rejects a repeated rid and a rid from a non-parent") {
+      val s = stores(storeIdx)
+      val parent = 3
+      val rows = versionRows(parent)
+      val foreignRid = graph.allRecords.diff(graph.versions(parent).records).intervals.head._1
+      val before = (s.numVersions, files(s))
+      for (bad <- Seq(rows.unionByName(rows.limit(1)),
+                      rows.unionByName(data.where(col("rid") === foreignRid)))) {
+        val e = intercept[IllegalArgumentException](s.commit(bad, Seq(parent)))
+        assert(e.getMessage.contains("commit rejected"))
+        assert((s.numVersions, files(s)) == before)
+      }
+      oracleCheckout(s.checkout(parent), parent)
     }
   }
 
@@ -101,6 +195,18 @@ class CvdStoreSpec extends AnyFunSuite with SparkSpec {
     // Fresh rids do not collide with existing ones.
     val maxOld = graph.allRecords.intervals.last._2
     assert(out.where(col("rid") > maxOld).count() == nMod)
+  }
+
+  test("commits of one table with repeated pks assign the same rids in two fresh stores") {
+    val t = spark.range(0, 2000, 1, 8).select(lit(null).cast("long") as "rid",
+      pmod(col("id"), lit(10L)) as "pk", col("id") as "a1", pmod(col("id") * 7, lit(13L)) as "a2")
+    // The second store gets the rows in reverse order.
+    val assigned = Seq(t, t.sort(col("a1").desc)).map { rows =>
+      val s = new SplitByRlist(spark, Files.createTempDirectory("cvddet"))
+      s.checkout(s.commit(rows, Seq.empty)).collect().map(_.toSeq).toSet
+    }
+    assert(assigned(0).size == 2000)
+    assert((assigned(0) diff assigned(1)).size == 0, "rows with different rids")
   }
 
   test("commit on delta-based store picks the max-overlap parent as base") {
