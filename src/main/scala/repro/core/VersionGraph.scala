@@ -95,35 +95,4 @@ final case class VersionGraph(versions: Vector[Version]) {
     for (v <- versions; p = treeParent(v.vid); if p >= 0) acc(p) += v.vid
     acc.iterator.map(_.result()).toVector
   }
-
-  /** Ancestors of `vid` in the DAG (transitively), excluding itself. */
-  def ancestors(vid: Int): Set[Int] = {
-    val seen = collection.mutable.Set.empty[Int]
-    def rec(v: Int): Unit =
-      for (p <- versions(v).parents; if !seen(p)) { seen += p; rec(p) }
-    rec(vid)
-    seen.toSet
-  }
-
-  /** Descendants of `vid` in the DAG (transitively), excluding itself. */
-  def descendants(vid: Int): Set[Int] = {
-    val seen = collection.mutable.Set.empty[Int]
-    def rec(v: Int): Unit =
-      for (c <- children(v); if !seen(c)) { seen += c; rec(c) }
-    rec(vid)
-    seen.toSet
-  }
-
-  /** Versions within `hops` undirected hops of `vid`, excluding itself
-    * (VQuel's `N(k)` construct).
-    */
-  def neighbors(vid: Int, hops: Int): Set[Int] = {
-    var frontier = Set(vid)
-    var seen = Set(vid)
-    for (_ <- 1 to hops) {
-      frontier = frontier.flatMap(v => versions(v).parents ++ children(v)) -- seen
-      seen ++= frontier
-    }
-    seen - vid
-  }
 }

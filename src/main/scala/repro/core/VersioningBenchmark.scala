@@ -123,14 +123,7 @@ object VersioningBenchmark {
     * `(vid INT, rid BIGINT)` — the bipartite graph E, exploded from the
     * driver-side interval encoding with `sequence()`.
     */
-  def membershipDF(spark: SparkSession, g: VersionGraph): DataFrame = {
-    import spark.implicits._
-    val rows = g.versions.flatMap(v => v.records.intervals.map {
-      case (s, e) => (v.vid, s, e)
-    })
-    rows.toDF("vid", "s", "e")
-      .select($"vid", explode(expr("sequence(s, e)")) as "rid")
-  }
+  def membershipDF(spark: SparkSession, g: VersionGraph): DataFrame = Membership(spark, g)
 
   /** The data table `(rid BIGINT, pk BIGINT, a1..aN BIGINT)` for all rids
     * in the CVD; attributes derived deterministically from rid so Spark
@@ -139,9 +132,7 @@ object VersioningBenchmark {
     */
   def dataTableDF(spark: SparkSession, g: VersionGraph, nAttrs: Int = 10): DataFrame = {
     import spark.implicits._
-    val rows = g.allRecords.intervals.map { case (s, e) => (s, e) }
-    val base = rows.toDF("s", "e")
-      .select(explode(expr("sequence(s, e)")) as "rid")
+    val base = Membership.ridsDF(spark, g.allRecords)
     val attrs = (1 to nAttrs).map(i => (($"rid" * lit(2654435761L + i) + lit(i)) % 100000L) as s"a$i")
     base.select(($"rid" +: ($"rid" as "pk") +: attrs): _*)
   }

@@ -3,7 +3,7 @@ package repro.core.model
 import java.nio.file.Path
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.VersionGraph
+import repro.core.{Membership, VersionGraph}
 
 /** Approach 4.5: one full table per version.
   *
@@ -18,7 +18,7 @@ final class ATablePerVersion(spark: SparkSession, dir: Path) extends CvdStore(sp
 
   override def load(data: DataFrame, graph: VersionGraph): Unit = {
     registerGraph(graph)
-    val m = CvdStore.membership(spark, graph)
+    val m = Membership(spark, graph)
     data.join(m, Seq("rid"))
       .write.mode("overwrite").partitionBy("vid").parquet(tablesDir)
   }

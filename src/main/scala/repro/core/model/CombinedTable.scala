@@ -3,7 +3,7 @@ package repro.core.model
 import java.nio.file.Path
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.VersionGraph
+import repro.core.{Membership, VersionGraph}
 
 /** Approach 4.1: a single combined table with a `vlist` array attribute.
   *
@@ -25,7 +25,7 @@ final class CombinedTable(spark: SparkSession, dir: Path) extends CvdStore(spark
 
   override def load(data: DataFrame, graph: VersionGraph): Unit = {
     registerGraph(graph)
-    val m = CvdStore.membership(spark, graph)
+    val m = Membership(spark, graph)
     val vlists = m.groupBy("rid").agg(sort_array(collect_list(col("vid"))) as "vlist")
     data.join(vlists, Seq("rid")).write.mode("overwrite").parquet(current)
   }
@@ -38,17 +38,10 @@ final class CombinedTable(spark: SparkSession, dir: Path) extends CvdStore(spark
   }
 
   override protected def write(vid: Int, parents: Seq[Int], c: CvdStore.Commit): Unit = {
-    val versionRids = CvdStore.ridsDF(spark, c.records).withColumn("__in", lit(true))
-    val old = spark.read.parquet(current)
     // Rewrite every record's vlist; records absent from T' pass through.
-    val updated = old.join(versionRids, Seq("rid"), "left")
-      .withColumn("vlist",
-        when(col("__in").isNotNull, concat(col("vlist"), array(lit(vid))))
-          .otherwise(col("vlist")))
-      .drop("__in")
-    val freshRows = c.fresh.withColumn("vlist", array(lit(vid)))
+    val updated = appendVid(spark.read.parquet(current), vid, c.records, c.fresh)
     val next = gen + 1
-    updated.unionByName(freshRows).write.mode("overwrite").parquet(tableDir(next).toString)
+    updated.write.mode("overwrite").parquet(tableDir(next).toString)
     CvdStore.deleteRecursively(tableDir(gen))
     gen = next
   }

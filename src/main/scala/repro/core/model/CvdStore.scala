@@ -4,7 +4,7 @@ import java.nio.file.{Files, Path}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import repro.core.{IntervalSet, VersionGraph}
+import repro.core.{IntervalSet, Membership, VersionGraph}
 import scala.collection.mutable
 
 /** A collaborative versioned dataset (CVD) store — Chapter 4.
@@ -77,7 +77,7 @@ abstract class CvdStore(val spark: SparkSession, val dir: Path) {
     * records), with the checkout schema.
     */
   protected def rowsOf(vid: Int, rids: IntervalSet): DataFrame =
-    checkout(vid).join(CvdStore.ridsDF(spark, rids), Seq("rid"), "left_semi")
+    checkout(vid).join(Membership.ridsDF(spark, rids), Seq("rid"), "left_semi")
 
   /** Total bytes on disk for the store. */
   def storageBytes: Long = CvdStore.du(dir)
@@ -132,6 +132,26 @@ abstract class CvdStore(val spark: SparkSession, val dir: Path) {
     Commit(table.where(col("rid").isNotNull).unionByName(fresh), fresh, records)
   }
 
+  /** The parent sharing the most records with `records` (§4.1: a merge's
+    * base), if there is a parent.
+    */
+  protected def closestParent(parents: Seq[Int], records: IntervalSet): Option[Int] =
+    parents.maxByOption(p => recordsOf(p).intersectSize(records))
+
+  /** The vlist rewrite of a commit (combined-table, split-by-vlist): `vid`
+    * joins the vlist of every row of `vlists` whose rid is in `records`,
+    * and the `fresh` rows are added with the vlist `[vid]`.
+    */
+  protected def appendVid(vlists: DataFrame, vid: Int, records: IntervalSet,
+                          fresh: DataFrame): DataFrame = {
+    val in = Membership.ridsDF(spark, records).withColumn("__in", lit(true))
+    vlists.join(in, Seq("rid"), "left")
+      .withColumn("vlist",
+        when(col("__in").isNotNull, concat(col("vlist"), array(lit(vid)))).otherwise(col("vlist")))
+      .drop("__in")
+      .unionByName(fresh.withColumn("vlist", array(lit(vid))))
+  }
+
   protected def attrCols(df: DataFrame): Seq[String] =
     df.columns.filterNot(c => c == "rid" || c == "vid").toSeq
 }
@@ -159,22 +179,4 @@ object CvdStore {
       finally s.close()
     }
   }
-
-  /** One `rid` row per member of `s`, exploded from its intervals. */
-  def ridsDF(spark: SparkSession, s: IntervalSet): DataFrame = {
-    import spark.implicits._
-    s.intervals.toDF("s", "e").select(explode(expr("sequence(s, e)")) as "rid")
-  }
-
-  /** DataFrame of (vid, rid) membership pairs for the given record sets. */
-  def membership(spark: SparkSession, sets: Seq[(Int, IntervalSet)]): DataFrame = {
-    import spark.implicits._
-    sets.flatMap { case (vid, s) => s.intervals.map { case (a, b) => (vid, a, b) } }
-      .toDF("vid", "s", "e")
-      .select(col("vid"), explode(expr("sequence(s, e)")) as "rid")
-  }
-
-  /** DataFrame of (vid, rid) pairs for a whole graph. */
-  def membership(spark: SparkSession, graph: VersionGraph): DataFrame =
-    membership(spark, graph.versions.map(v => v.vid -> v.records))
 }

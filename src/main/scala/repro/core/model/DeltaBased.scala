@@ -3,7 +3,7 @@ package repro.core.model
 import java.nio.file.Path
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.{IntervalSet, VersionGraph}
+import repro.core.{IntervalSet, Membership, VersionGraph}
 import scala.collection.mutable
 
 /** Approach 4.4: delta-based storage.
@@ -34,7 +34,7 @@ final class DeltaBased(spark: SparkSession, dir: Path) extends CvdStore(spark, d
         else graph.versions(graph.treeParent(v.vid)).records
       v.vid -> v.records.diff(basisRecords)
     }
-    CvdStore.membership(spark, insPairs)
+    Membership(spark, insPairs)
       .join(data, Seq("rid"))
       .write.mode("overwrite").partitionBy("vid").parquet(insDir)
     // Tombstones: (vid, rid) for records of the base absent from the child.
@@ -44,7 +44,7 @@ final class DeltaBased(spark: SparkSession, dir: Path) extends CvdStore(spark, d
     }
     // del stays non-partitioned: a zero-row partitioned write leaves an
     // unreadable (schema-less) directory.
-    CvdStore.membership(spark, delPairs)
+    Membership(spark, delPairs)
       .write.mode("overwrite").parquet(delDir)
   }
 
@@ -67,16 +67,14 @@ final class DeltaBased(spark: SparkSession, dir: Path) extends CvdStore(spark, d
   }
 
   override protected def write(vid: Int, parents: Seq[Int], c: CvdStore.Commit): Unit = {
-    val base =
-      if (parents.isEmpty) -1
-      else parents.maxBy(p => recordsOf(p).intersectSize(c.records))
+    val base = closestParent(parents, c.records).getOrElse(-1)
     val baseSet = if (base >= 0) recordsOf(base) else IntervalSet.empty
     // Inserted full rows.
-    c.table.join(CvdStore.ridsDF(spark, c.records.diff(baseSet)), Seq("rid"))
+    c.table.join(Membership.ridsDF(spark, c.records.diff(baseSet)), Seq("rid"))
       .withColumn("vid", lit(vid))
       .write.mode("append").partitionBy("vid").parquet(insDir)
     // Tombstoned rids.
-    CvdStore.ridsDF(spark, baseSet.diff(c.records))
+    Membership.ridsDF(spark, baseSet.diff(c.records))
       .withColumn("vid", lit(vid))
       .select("vid", "rid")
       .write.mode("append").parquet(delDir)

@@ -3,7 +3,7 @@ package repro.core.model
 import java.nio.file.Path
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.VersionGraph
+import repro.core.{Membership, VersionGraph}
 
 /** Approach 4.2: data table + versioning table keyed by rid.
   *
@@ -26,7 +26,7 @@ final class SplitByVlist(spark: SparkSession, dir: Path) extends CvdStore(spark,
   override def load(data: DataFrame, graph: VersionGraph): Unit = {
     registerGraph(graph)
     data.write.mode("overwrite").parquet(dataDir)
-    CvdStore.membership(spark, graph)
+    Membership(spark, graph)
       .groupBy("rid").agg(sort_array(collect_list(col("vid"))) as "vlist")
       .write.mode("overwrite").parquet(versioning)
   }
@@ -40,17 +40,9 @@ final class SplitByVlist(spark: SparkSession, dir: Path) extends CvdStore(spark,
   }
 
   override protected def write(vid: Int, parents: Seq[Int], c: CvdStore.Commit): Unit = {
-    val versionRids = CvdStore.ridsDF(spark, c.records).withColumn("__in", lit(true))
-    val old = spark.read.parquet(versioning)
-    val updated = old.join(versionRids, Seq("rid"), "left")
-      .withColumn("vlist",
-        when(col("__in").isNotNull, concat(col("vlist"), array(lit(vid))))
-          .otherwise(col("vlist")))
-      .drop("__in")
-    val freshRows = c.fresh.select(col("rid"), array(lit(vid)) as "vlist")
+    val updated = appendVid(spark.read.parquet(versioning), vid, c.records, c.fresh.select("rid"))
     val next = gen + 1
-    updated.unionByName(freshRows)
-      .write.mode("overwrite").parquet(versioningDir(next).toString)
+    updated.write.mode("overwrite").parquet(versioningDir(next).toString)
     CvdStore.deleteRecursively(versioningDir(gen))
     gen = next
     c.fresh.write.mode("append").parquet(dataDir)

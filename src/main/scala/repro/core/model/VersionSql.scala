@@ -2,6 +2,7 @@ package repro.core.model
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.core.partition.PartitionedStore
 
 /** §3.3.2: the OrpheusDB SQL surface on top of a CVD.
   *
@@ -18,7 +19,7 @@ import org.apache.spark.sql.functions._
   * Plus the functional primitives of §3.3.2: `vDiff` and `vIntersect`
   * over sets of versions, and graph predicates via the store's metadata.
   */
-final class VersionSql(spark: SparkSession, store: SplitByRlistOps) {
+final class VersionSql(spark: SparkSession, store: PartitionedStore) {
 
   private val VersionOf =
     raw"(?is)\bFROM\s+VERSION\s+([\d\s,]+?)\s+OF\s+CVD\s+(\w+)".r
@@ -77,27 +78,7 @@ final class VersionSql(spark: SparkSession, store: SplitByRlistOps) {
   }
 }
 
-/** The store-side surface [[VersionSql]] needs: a split-by-rlist store
-  * exposing its data table and the membership-expanded view.
-  */
-trait SplitByRlistOps {
-  def checkout(vid: Int): DataFrame
-  /** The deduplicated data table (rid, pk, a*). */
-  def data: DataFrame
-  /** Data joined with membership: (vid, rid, pk, a*). */
-  def withVid(): DataFrame
-}
-
 object VersionSql {
-  /** Adapt a [[SplitByRlist]] store (which persists to Parquet). */
-  def forStore(spark: SparkSession, store: SplitByRlist): VersionSql =
-    new VersionSql(spark, new SplitByRlistOps {
-      private def versioning =
-        spark.read.parquet(store.dir.resolve("versioning").toString)
-      def checkout(vid: Int): DataFrame = store.checkout(vid)
-      def data: DataFrame = spark.read.parquet(store.dir.resolve("data").toString)
-      def withVid(): DataFrame =
-        versioning.select(col("vid"), explode(col("rlist")) as "rid")
-          .join(data, Seq("rid"))
-    })
+  /** Adapt a split-by-rlist store, partitioned or not. */
+  def forStore(spark: SparkSession, store: PartitionedStore): VersionSql = new VersionSql(spark, store)
 }

@@ -332,22 +332,9 @@ object Evaluator {
       val rows = Vector.newBuilder[Vector[Any]]
       val colNames = dedupeNames(q.targets.map(_._1).toVector)
 
-      def loop(vars: List[String], binding: Binding): Unit = vars match {
-        case Nil =>
-          if (q.where.forall(evalPred(_, None, binding))) {
-            rows += q.targets.toVector.map { case (_, e) =>
-              evalExpr(e, None, binding) match {
-                case m: Map[_, _] => m.toSeq.sortBy(_._1.toString).toString
-                case x            => x
-              }
-            }
-          }
-        case v :: rest =>
-          for (value <- domainOf(v, binding)) loop(rest, binding + (v -> value))
-      }
-      // Sort support requires binding capture; redo the loop capturing sort keys.
+      // Sorting needs each row's sort keys, captured with the row.
       val sortKeys = Vector.newBuilder[Vector[Any]]
-      def loopSorted(vars: List[String], binding: Binding): Unit = vars match {
+      def loop(vars: List[String], binding: Binding): Unit = vars match {
         case Nil =>
           if (q.where.forall(evalPred(_, None, binding))) {
             rows += q.targets.toVector.map { case (_, e) =>
@@ -359,11 +346,9 @@ object Evaluator {
             sortKeys += q.sortBy.toVector.map(k => evalExpr(k.path, None, binding))
           }
         case v :: rest =>
-          for (value <- domainOf(v, binding)) loopSorted(rest, binding + (v -> value))
+          for (value <- domainOf(v, binding)) loop(rest, binding + (v -> value))
       }
-
-      if (q.sortBy.isEmpty) loop(loopVars, Map.empty)
-      else loopSorted(loopVars, Map.empty)
+      loop(loopVars, Map.empty)
 
       var out = rows.result()
       if (q.sortBy.nonEmpty) {

@@ -26,30 +26,22 @@ final case class Repository(versions: Vector[VersionMeta]) {
   }
 
   /** Ancestors within `hops` (Int.MaxValue = all) — VQuel's `P(k)`. */
-  def ancestors(id: String, hops: Int): Vector[VersionMeta] = {
-    var frontier = Set(id); var seen = Set.empty[String]; var h = 0
-    while (frontier.nonEmpty && h < hops) {
-      frontier = frontier.flatMap(byId(_).parents) -- seen - id
-      seen ++= frontier; h += 1
-    }
-    versions.filter(v => seen(v.id))
-  }
+  def ancestors(id: String, hops: Int): Vector[VersionMeta] = within(id, hops, byId(_).parents)
 
   /** Descendants within `hops` — VQuel's `D(k)`. */
-  def descendants(id: String, hops: Int): Vector[VersionMeta] = {
-    var frontier = Set(id); var seen = Set.empty[String]; var h = 0
-    while (frontier.nonEmpty && h < hops) {
-      frontier = frontier.flatMap(childrenOf(_)) -- seen - id
-      seen ++= frontier; h += 1
-    }
-    versions.filter(v => seen(v.id))
-  }
+  def descendants(id: String, hops: Int): Vector[VersionMeta] = within(id, hops, childrenOf)
 
   /** Versions exactly within `hops` undirected hops — VQuel's `N(k)`. */
-  def neighbors(id: String, hops: Int): Vector[VersionMeta] = {
+  def neighbors(id: String, hops: Int): Vector[VersionMeta] =
+    within(id, hops, v => byId(v).parents ++ childrenOf(v))
+
+  /** Versions reached from `id` in 1 to `hops` steps of `next`, in
+    * repository order: a breadth-first search.
+    */
+  private def within(id: String, hops: Int, next: String => Seq[String]): Vector[VersionMeta] = {
     var frontier = Set(id); var seen = Set(id); var h = 0
     while (frontier.nonEmpty && h < hops) {
-      frontier = frontier.flatMap(v => byId(v).parents ++ childrenOf(v)) -- seen
+      frontier = frontier.flatMap(next) -- seen
       seen ++= frontier; h += 1
     }
     versions.filter(v => seen(v.id) && v.id != id)

@@ -1,8 +1,7 @@
 package repro.provenance
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.core.VersionGraph
+import repro.core.{Membership, VersionGraph}
 
 /** Chapter 8: inferring lineage among versions in an existing repository
   * — removing the "from-scratch" assumption. Versions arrive with no
@@ -39,21 +38,11 @@ object LineageInference {
       else 2 * precision * recall / (precision + recall)
   }
 
-  /** Pairwise overlap counts |R(u) ∩ R(v)| for u < v, via a distributed
-    * self-join on the (vid, rid) membership relation; also returns each
-    * version's record count.
+  /** Pairwise overlap counts |R(u) ∩ R(v)| for u < v and each version's
+    * record count: the self-join of [[Membership.overlaps]].
     */
   def pairwiseOverlaps(spark: SparkSession, membership: DataFrame)
-      : (Map[(Int, Int), Long], Map[Int, Long]) = {
-    val m = membership.select(col("vid").cast("int") as "vid", col("rid"))
-    val sizes = m.groupBy("vid").count().collect()
-      .map(r => r.getInt(0) -> r.getLong(1)).toMap
-    val a = m.toDF("v1", "rid"); val b = m.toDF("v2", "rid")
-    val overlaps = a.join(b, Seq("rid")).where(col("v1") < col("v2"))
-      .groupBy("v1", "v2").count().collect()
-      .map(r => (r.getInt(0), r.getInt(1)) -> r.getLong(2)).toMap
-    (overlaps, sizes)
-  }
+      : (Map[(Int, Int), Long], Map[Int, Long]) = Membership.overlaps(membership)
 
   /** Infer the version DAG.
     *

@@ -1,8 +1,7 @@
 package repro.storage
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.core.IntervalSet
+import repro.core.{IntervalSet, Membership}
 
 /** Chapter 7: the storage-recreation graph over a collection of versions.
   *
@@ -59,28 +58,16 @@ object DeltaGraph {
     build(n, sizes, (i, j) => inter(i)(j), mode)
   }
 
-  /** Build the graph from a (vid, rid) membership DataFrame with a
-    * distributed self-join — the Spark path for large collections
-    * (DESIGN.md §4). vids must be dense 0..n-1.
+  /** Build the graph from a (vid, rid) membership DataFrame with the
+    * distributed self-join of [[Membership.overlaps]] — the Spark path for
+    * large collections (DESIGN.md §4). vids must be dense 0..n-1.
     */
   def fromMembership(spark: SparkSession, membership: DataFrame, n: Int,
                      mode: DeltaMode): DeltaGraph = {
-    val m = membership.select(col("vid").cast("int") as "vid", col("rid"))
-    val sizes = Array.fill(n)(0.0)
-    m.groupBy("vid").count().collect()
-      .foreach(r => sizes(r.getInt(0)) = r.getLong(1).toDouble)
+    val (overlaps, sizes) = Membership.overlaps(membership)
     val inter = Array.ofDim[Double](n, n)
-    val a = m.toDF("v1", "rid")
-    val b = m.toDF("v2", "rid")
-    a.join(b, Seq("rid"))
-      .where(col("v1") < col("v2"))
-      .groupBy("v1", "v2").count()
-      .collect()
-      .foreach { r =>
-        val i = r.getInt(0); val j = r.getInt(1); val c = r.getLong(2).toDouble
-        inter(i)(j) = c; inter(j)(i) = c
-      }
-    build(n, sizes.toVector, (i, j) => inter(i)(j), mode)
+    for (((i, j), c) <- overlaps) { inter(i)(j) = c.toDouble; inter(j)(i) = c.toDouble }
+    build(n, Vector.tabulate(n)(v => sizes.getOrElse(v, 0L).toDouble), (i, j) => inter(i)(j), mode)
   }
 
   private def build(n: Int, sizes: Vector[Double],

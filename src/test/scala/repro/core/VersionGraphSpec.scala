@@ -60,21 +60,6 @@ class VersionGraphSpec extends AnyFunSuite {
     assert(g.levels == Vector(1, 2, 2, 3))
   }
 
-  test("ancestors and descendants are transitive") {
-    val g = fig42
-    assert(g.ancestors(3) == Set(0, 1, 2))
-    assert(g.ancestors(0).isEmpty)
-    assert(g.descendants(0) == Set(1, 2, 3))
-    assert(g.descendants(3).isEmpty)
-  }
-
-  test("neighbors respects hop count") {
-    val g = fig42
-    assert(g.neighbors(0, 1) == Set(1, 2))
-    assert(g.neighbors(0, 2) == Set(1, 2, 3))
-    assert(g.neighbors(3, 1) == Set(1, 2))
-  }
-
   test("tree graphs have no duplicated records") {
     val g = VersionGraph(Vector(
       Version(0, Vector.empty, IntervalSet.range(0, 9), 0),

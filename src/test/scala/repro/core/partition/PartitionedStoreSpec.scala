@@ -1,10 +1,11 @@
 package repro.core.partition
 
 import java.nio.file.Files
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec}
-import repro.core.VersioningBenchmark
+import repro.core.{IntervalSet, Version, VersionGraph, VersioningBenchmark}
 
 class PartitionedStoreSpec extends AnyFunSuite with SparkSpec {
 
@@ -12,36 +13,118 @@ class PartitionedStoreSpec extends AnyFunSuite with SparkSpec {
     numVersions = 15, base = 400, updates = 50, inserts = 10, branches = 3, seed = 3)
   private lazy val data = VersioningBenchmark.dataTableDF(spark, graph, nAttrs = 2).cache()
   private lazy val membership = VersioningBenchmark.membershipDF(spark, graph).cache()
+  private lazy val loadScheme = LyreSplit.forBudget(graph, 2 * graph.numRecords).scheme
 
   private lazy val store: PartitionedStore = {
     val s = new PartitionedStore(spark, Files.createTempDirectory("pstore"))
-    val scheme = LyreSplit.forBudget(graph, 2 * graph.numRecords).scheme
-    s.load(data, graph, scheme)
+    s.load(data, graph, loadScheme)
     s
   }
 
-  private def oracleCheckout(vid: Int): Unit =
+  private def versionRows(vid: Int): DataFrame =
+    data.join(membership.where(col("vid") === vid).select("rid"), Seq("rid"))
+
+  /** v14 with every 7th pk edited (rid nulled) and 5 rows added. */
+  private lazy val edited: DataFrame = {
+    val hit = pmod(col("pk"), lit(7)) === 0
+    val added = spark.range(100000L, 100005L).select(
+      lit(null).cast("long") as "rid", col("id") as "pk", col("id") as "a1", lit(0L) as "a2")
+    versionRows(14).withColumn("rid", when(hit, lit(null).cast("long")).otherwise(col("rid")))
+      .withColumn("a1", when(hit, lit(-1L)).otherwise(col("a1")))
+      .unionByName(added).localCheckpoint()
+  }
+  private lazy val firstRid = graph.allRecords.intervals.last._2 + 1
+
+  /** The merge's parents: v14 and the newest version in another partition. */
+  private lazy val mergeA = 14
+  private lazy val mergeB =
+    (0 until 14).filter(v => loadScheme.pidOf(v) != loadScheme.pidOf(mergeA)).max
+  /** Every row of `mergeA` plus the rows of `mergeB` it lacks. */
+  private lazy val merged: DataFrame = versionRows(mergeA)
+    .unionByName(versionRows(mergeB).join(versionRows(mergeA).select("rid"), Seq("rid"), "left_anti"))
+    .localCheckpoint()
+
+  /** A second store under `loadScheme` that takes `edited` onto v14 as
+    * v15 and `merged` as v16, and the graph of its 17 versions as the
+    * test derives them.
+    */
+  private lazy val (committed, committedGraph) = {
+    val s = new PartitionedStore(spark, Files.createTempDirectory("pstorec"))
+    s.load(data, graph, loadScheme)
+    assert(s.commit(edited, Seq(14)) == 15 && s.commit(merged, Seq(mergeA, mergeB)) == 16)
+    def rids(df: DataFrame) = IntervalSet.fromSeq(
+      df.where(col("rid").isNotNull).select("rid").collect().map(_.getLong(0)).toSeq)
+    val nFresh = edited.where(col("rid").isNull).count()
+    val g = VersionGraph(graph.versions ++ Seq(
+      Version(15, Vector(14), rids(edited).union(IntervalSet.range(firstRid, firstRid + nFresh - 1)), 15),
+      Version(16, Vector(mergeA, mergeB), rids(merged), 16)))
+    (s, g)
+  }
+
+  private def versionSql(vid: Int): String =
+    s"""SELECT d.rid AS rid, d.pk AS pk, d.a1 AS a1, d.a2 AS a2
+       |FROM data d JOIN membership m ON d.rid = m.rid
+       |WHERE m.vid = '$vid'""".stripMargin
+
+  /** The rows of `edited` given fresh rids: numbered in (pk, a1, a2) order. */
+  private lazy val freshSql =
+    s"""SELECT CAST($firstRid - 1 + ROW_NUMBER() OVER (ORDER BY CAST(pk AS BIGINT),
+       |  CAST(a1 AS BIGINT), CAST(a2 AS BIGINT)) AS VARCHAR) AS rid, pk, a1, a2
+       |FROM t15 WHERE rid IS NULL""".stripMargin
+
+  /** Version `vid` of `committed`, loaded or committed. */
+  private def expectedSql(vid: Int): String = vid match {
+    case 15 => s"SELECT rid, pk, a1, a2 FROM t15 WHERE rid IS NOT NULL UNION ALL $freshSql"
+    case 16 => "SELECT rid, pk, a1, a2 FROM t16"
+    case v  => versionSql(v)
+  }
+
+  private def oracleCheck(df: DataFrame, sql: String): Unit =
     Oracle.assertEquivalent(
-      store.checkout(vid).select(
-        col("rid").cast("string") as "rid", col("pk").cast("string") as "pk",
-        col("a1").cast("string") as "a1", col("a2").cast("string") as "a2"),
-      s"""SELECT d.rid AS rid, d.pk AS pk, d.a1 AS a1, d.a2 AS a2
-         |FROM data d JOIN membership m ON d.rid = m.rid
-         |WHERE m.vid = '$vid'""".stripMargin,
-      "data" -> data, "membership" -> membership)
+      df.select(Seq("rid", "pk", "a1", "a2").map(c => col(c).cast("string") as c): _*), sql,
+      "data" -> data, "membership" -> membership, "t15" -> edited, "t16" -> merged)
+
+  private def oracleCheckout(vid: Int): Unit = oracleCheck(store.checkout(vid), versionSql(vid))
+
+  /** Each partition's data files hold exactly the records of its versions in `g`. */
+  private def assertPartitionFiles(s: PartitionedStore, g: VersionGraph): Unit = {
+    val scheme = s.currentScheme
+    for (pid <- 0 until scheme.numPartitions) {
+      val expected = CostModel.partitionRecords(g, scheme.versionsOf(pid))
+      val rids = spark.read.parquet(s.dir.resolve(s"part-$pid").resolve("data").toString)
+        .select("rid").collect().map(_.getLong(0)).toSeq
+      assert(rids.length == expected.size && IntervalSet.fromSeq(rids) == expected,
+        s"partition $pid records")
+    }
+  }
 
   for (vid <- Seq(0, 7, 14)) {
     test(s"partitioned checkout of v$vid matches DuckDB") { oracleCheckout(vid) }
   }
 
+  test("a commit lands in its parent's partition; its checkout and diffs match DuckDB") {
+    assert(loadScheme.numPartitions > 1)
+    assert(committed.currentScheme.pidOf(15) == loadScheme.pidOf(14))
+    oracleCheck(committed.checkout(15), expectedSql(15))
+    oracleCheck(committed.diffVersions(15, 14), freshSql)
+    oracleCheck(committed.diffVersions(14, 15),
+      s"SELECT * FROM (${versionSql(14)}) p WHERE rid NOT IN (SELECT rid FROM t15 WHERE rid IS NOT NULL)")
+  }
+
+  test("a merge of parents in two partitions checks out and diffs correctly") {
+    val home = committed.currentScheme.pidOf(16)
+    assert(Set(loadScheme.pidOf(mergeA), loadScheme.pidOf(mergeB)).contains(home))
+    // The merge inherits records its partition did not hold before.
+    val before = CostModel.partitionRecords(graph, loadScheme.versionsOf(home))
+    assert(!committedGraph.versions(16).records.diff(before).isEmpty)
+    oracleCheck(committed.checkout(16), expectedSql(16))
+    oracleCheck(committed.diffVersions(16, mergeA),
+      s"SELECT * FROM (${versionSql(mergeB)}) b WHERE rid NOT IN (SELECT rid FROM membership WHERE vid = '$mergeA')")
+  }
+
   test("partition files hold exactly the scheme's record sets") {
-    val scheme = store.currentScheme
-    for (pid <- 0 until scheme.numPartitions) {
-      val expected = CostModel.partitionRecords(graph, scheme.versionsOf(pid)).size
-      val rows = spark.read.parquet(
-        store.dir.resolve(s"part-$pid").resolve("data").toString).count()
-      assert(rows == expected, s"partition $pid row count")
-    }
+    assertPartitionFiles(store, graph)
+    assertPartitionFiles(committed, committedGraph)
   }
 
   test("migration to a new scheme preserves checkout results") {
@@ -54,20 +137,25 @@ class PartitionedStoreSpec extends AnyFunSuite with SparkSpec {
     oracleCheckout(14)
   }
 
+  test("after commits, migration to a scheme with the new versions keeps every version") {
+    val newScheme = LyreSplit.run(committedGraph, 0.8).scheme
+    assert(newScheme != committed.currentScheme)
+    committed.migrate(newScheme, Migration.plan(committedGraph, committed.currentScheme, newScheme))
+    assert(committed.currentScheme == newScheme)
+    assertPartitionFiles(committed, committedGraph)
+    // Every version at once, tagged with its vid.
+    val vids = 0 until committedGraph.numVersions
+    Oracle.assertEquivalent(
+      vids.map(v => committed.checkout(v).withColumn("vid", lit(v))).reduce(_ unionByName _)
+        .select(Seq("vid", "rid", "pk", "a1", "a2").map(c => col(c).cast("string") as c): _*),
+      vids.map(v => s"SELECT '$v' AS vid, * FROM (${expectedSql(v)}) v$v").mkString(" UNION ALL "),
+      "data" -> data, "membership" -> membership, "t15" -> edited, "t16" -> merged)
+  }
+
   test("single-partition scheme equals unpartitioned storage footprint") {
     val s = new PartitionedStore(spark, Files.createTempDirectory("pstore1"))
     s.load(data, graph, PartitionScheme.single(graph.numVersions))
     assert(s.partitionBytes.length == 1)
-    oracleStoreCheck(s, 5)
+    oracleCheck(s.checkout(5), versionSql(5))
   }
-
-  private def oracleStoreCheck(s: PartitionedStore, vid: Int): Unit =
-    Oracle.assertEquivalent(
-      s.checkout(vid).select(
-        col("rid").cast("string") as "rid", col("pk").cast("string") as "pk",
-        col("a1").cast("string") as "a1", col("a2").cast("string") as "a2"),
-      s"""SELECT d.rid AS rid, d.pk AS pk, d.a1 AS a1, d.a2 AS a2
-         |FROM data d JOIN membership m ON d.rid = m.rid
-         |WHERE m.vid = '$vid'""".stripMargin,
-      "data" -> data, "membership" -> membership)
 }
