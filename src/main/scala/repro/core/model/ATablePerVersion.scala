@@ -3,6 +3,7 @@ package repro.core.model
 import java.nio.file.Path
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.IntegerType
 import repro.core.{Membership, VersionGraph}
 
 /** Approach 4.5: one full table per version.
@@ -15,16 +16,18 @@ final class ATablePerVersion(spark: SparkSession, dir: Path) extends CvdStore(sp
   override def name: String = "a-table-per-version"
 
   private def tablesDir = dir.resolve("tables").toString
+  /** The records plus the `vid` partition column. */
+  private def tables = read(tablesDir, recordSchema.add("vid", IntegerType))
 
   override def load(data: DataFrame, graph: VersionGraph): Unit = {
-    registerGraph(graph)
+    registerGraph(data, graph)
     val m = Membership(spark, graph)
     data.join(m, Seq("rid"))
       .write.mode("overwrite").partitionBy("vid").parquet(tablesDir)
   }
 
   override def checkout(vid: Int): DataFrame = {
-    val df = spark.read.parquet(tablesDir).where(col("vid") === vid).drop("vid")
+    val df = tables.where(col("vid") === vid).drop("vid")
     df.select("rid", attrCols(df): _*)
   }
 

@@ -3,6 +3,7 @@ package repro.core.model
 import java.nio.file.Path
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{ArrayType, IntegerType}
 import repro.core.{Membership, VersionGraph}
 
 /** Approach 4.1: a single combined table with a `vlist` array attribute.
@@ -22,16 +23,17 @@ final class CombinedTable(spark: SparkSession, dir: Path) extends CvdStore(spark
   private var gen = 0
   private def tableDir(g: Int) = dir.resolve(s"combined-$g")
   private def current = tableDir(gen).toString
+  private def combined = read(current, recordSchema.add("vlist", ArrayType(IntegerType)))
 
   override def load(data: DataFrame, graph: VersionGraph): Unit = {
-    registerGraph(graph)
+    registerGraph(data, graph)
     val m = Membership(spark, graph)
     val vlists = m.groupBy("rid").agg(sort_array(collect_list(col("vid"))) as "vlist")
     data.join(vlists, Seq("rid")).write.mode("overwrite").parquet(current)
   }
 
   override def checkout(vid: Int): DataFrame = {
-    val df = spark.read.parquet(current)
+    val df = combined
       .where(array_contains(col("vlist"), vid))
       .drop("vlist")
     df.select("rid", attrCols(df): _*)
@@ -39,7 +41,7 @@ final class CombinedTable(spark: SparkSession, dir: Path) extends CvdStore(spark
 
   override protected def write(vid: Int, parents: Seq[Int], c: CvdStore.Commit): Unit = {
     // Rewrite every record's vlist; records absent from T' pass through.
-    val updated = appendVid(spark.read.parquet(current), vid, c.records, c.fresh)
+    val updated = appendVid(combined, vid, c.records, c.fresh)
     val next = gen + 1
     updated.write.mode("overwrite").parquet(tableDir(next).toString)
     CvdStore.deleteRecursively(tableDir(gen))

@@ -1,9 +1,10 @@
 package repro.core.model
 
 import java.nio.file.{Files, Path}
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.StructType
 import repro.core.{IntervalSet, Membership, VersionGraph}
 import scala.collection.mutable
 
@@ -22,10 +23,12 @@ import scala.collection.mutable
   *
   * The canonical record schema is `(rid BIGINT, pk BIGINT, a1..aN BIGINT)`;
   * `checkout` always returns exactly this schema so results are comparable
-  * across models and against the DuckDB oracle.
+  * across models and against the DuckDB oracle. The first `load` or
+  * `commit` fixes it, and every table is read with a schema derived from
+  * it, so building a DataFrame over the store runs no schema-inference job.
   */
 abstract class CvdStore(val spark: SparkSession, val dir: Path) {
-  import CvdStore.Commit
+  import CvdStore.{Commit, columnTypes, recordSchemaOf}
 
   Files.createDirectories(dir)
 
@@ -49,11 +52,18 @@ abstract class CvdStore(val spark: SparkSession, val dir: Path) {
     * rows). Returns the new vid.
     *
     * Throws `IllegalArgumentException`, before anything is written, when
-    * a parent is unknown, a non-null rid repeats, or a non-null rid is in
-    * no parent.
+    * the table's (column, type) set is not the store's record schema, a
+    * parent is unknown, a non-null rid repeats, or a non-null rid is in no
+    * parent.
     */
   final def commit(table: DataFrame, parents: Seq[Int]): Int = {
+    schema.foreach { s =>
+      val (got, want) = (columnTypes(table.schema), columnTypes(s))
+      if (got != want) throw new IllegalArgumentException(
+        s"commit rejected: columns (${got.mkString(", ")}) are not the store's (${want.mkString(", ")})")
+    }
     val c = assignRids(table, parents)
+    if (schema.isEmpty) schema = Some(recordSchemaOf(c.table))
     val vid = nextVid
     write(vid, parents, c)
     parentsOf(vid) = parents
@@ -79,6 +89,22 @@ abstract class CvdStore(val spark: SparkSession, val dir: Path) {
   protected def rowsOf(vid: Int, rids: IntervalSet): DataFrame =
     checkout(vid).join(Membership.ridsDF(spark, rids), Seq("rid"), "left_semi")
 
+  /** The record schema (rid, pk, a*), every field nullable, as the first
+    * `load` or `commit` gave it.
+    */
+  private var schema: Option[StructType] = None
+
+  protected def recordSchema: StructType =
+    schema.getOrElse(throw new IllegalStateException(s"$name store at $dir holds no version"))
+
+  /** The one table read: Parquet at `path` with the known schema `s`, so
+    * Spark reads no footers until an action runs. A store without versions
+    * has written no table yet, and reads as empty.
+    */
+  protected def read(path: String, s: StructType): DataFrame =
+    if (nextVid == 0) spark.createDataFrame(java.util.List.of[Row](), s)
+    else spark.read.schema(s).parquet(path)
+
   /** Total bytes on disk for the store. */
   def storageBytes: Long = CvdStore.du(dir)
 
@@ -94,7 +120,11 @@ abstract class CvdStore(val spark: SparkSession, val dir: Path) {
   def numVersions: Int = nextVid
   def parents(vid: Int): Seq[Int] = parentsOf(vid)
 
-  protected def registerGraph(graph: VersionGraph): Unit = {
+  /** Bulk-load bookkeeping: the record schema is `data`'s, and the
+    * versions are `graph`'s.
+    */
+  protected def registerGraph(data: DataFrame, graph: VersionGraph): Unit = {
+    schema = Some(recordSchemaOf(data))
     graph.versions.foreach { v =>
       parentsOf(v.vid) = v.parents
       recordsOf(v.vid) = v.records
@@ -162,6 +192,20 @@ object CvdStore {
     * record set.
     */
   final case class Commit(table: DataFrame, fresh: DataFrame, records: IntervalSet)
+
+  /** `df`'s columns with rid first, every field nullable: the schema
+    * Parquet gives them back with.
+    */
+  private def recordSchemaOf(df: DataFrame): StructType = {
+    val (rid, rest) = df.schema.fields.partition(_.name == "rid")
+    StructType((rid ++ rest).map(_.copy(nullable = true)))
+  }
+
+  /** `s`'s columns as sorted "name type" strings: order and nullability
+    * do not count.
+    */
+  private def columnTypes(s: StructType): Seq[String] =
+    s.fields.toSeq.map(f => s"${f.name} ${f.dataType.simpleString}").sorted
 
   /** Recursive on-disk size of a directory, in bytes. */
   def du(p: Path): Long = {

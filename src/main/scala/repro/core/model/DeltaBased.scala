@@ -3,6 +3,7 @@ package repro.core.model
 import java.nio.file.Path
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
 import repro.core.{IntervalSet, Membership, VersionGraph}
 import scala.collection.mutable
 
@@ -20,12 +21,15 @@ final class DeltaBased(spark: SparkSession, dir: Path) extends CvdStore(spark, d
 
   private def insDir = dir.resolve("ins").toString
   private def delDir = dir.resolve("del").toString
+  /** ins holds the records plus the `vid` partition column, del (vid, rid). */
+  private def insLayout = recordSchema.add("vid", IntegerType)
+  private val delLayout = StructType(Seq(StructField("vid", IntegerType), StructField("rid", LongType)))
 
   /** Precedent metadata table: vid -> base vid (-1 for the root). */
   private val baseOf = mutable.Map.empty[Int, Int]
 
   override def load(data: DataFrame, graph: VersionGraph): Unit = {
-    registerGraph(graph)
+    registerGraph(data, graph)
     graph.versions.foreach(v => baseOf(v.vid) = graph.treeParent(v.vid))
     // Insert deltas: (vid, rid) pairs for records new at each version.
     val insPairs = graph.versions.map { v =>
@@ -52,8 +56,8 @@ final class DeltaBased(spark: SparkSession, dir: Path) extends CvdStore(spark, d
     // Base chain from root down to vid.
     var chain = List(vid)
     while (baseOf(chain.head) >= 0) chain = baseOf(chain.head) :: chain
-    val ins = spark.read.parquet(insDir)
-    val del = spark.read.parquet(delDir)
+    val ins = read(insDir, insLayout)
+    val del = read(delDir, delLayout)
     var acc = ins.where(col("vid") === chain.head).drop("vid")
     for (v <- chain.tail) {
       val dels = del.where(col("vid") === v).select("rid")

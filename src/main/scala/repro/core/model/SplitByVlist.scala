@@ -3,6 +3,7 @@ package repro.core.model
 import java.nio.file.Path
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{ArrayType, IntegerType, StructType}
 import repro.core.{Membership, VersionGraph}
 
 /** Approach 4.2: data table + versioning table keyed by rid.
@@ -22,9 +23,11 @@ final class SplitByVlist(spark: SparkSession, dir: Path) extends CvdStore(spark,
   private var gen = 0
   private def versioningDir(g: Int) = dir.resolve(s"versioning-$g")
   private def versioning = versioningDir(gen).toString
+  private def vlists =
+    read(versioning, StructType(Seq(recordSchema("rid"))).add("vlist", ArrayType(IntegerType)))
 
   override def load(data: DataFrame, graph: VersionGraph): Unit = {
-    registerGraph(graph)
+    registerGraph(data, graph)
     data.write.mode("overwrite").parquet(dataDir)
     Membership(spark, graph)
       .groupBy("rid").agg(sort_array(collect_list(col("vid"))) as "vlist")
@@ -32,15 +35,15 @@ final class SplitByVlist(spark: SparkSession, dir: Path) extends CvdStore(spark,
   }
 
   override def checkout(vid: Int): DataFrame = {
-    val rids = spark.read.parquet(versioning)
+    val rids = vlists
       .where(array_contains(col("vlist"), vid))
       .select("rid")
-    val df = spark.read.parquet(dataDir).join(rids, Seq("rid"))
+    val df = read(dataDir, recordSchema).join(rids, Seq("rid"))
     df.select("rid", attrCols(df): _*)
   }
 
   override protected def write(vid: Int, parents: Seq[Int], c: CvdStore.Commit): Unit = {
-    val updated = appendVid(spark.read.parquet(versioning), vid, c.records, c.fresh.select("rid"))
+    val updated = appendVid(vlists, vid, c.records, c.fresh.select("rid"))
     val next = gen + 1
     updated.write.mode("overwrite").parquet(versioningDir(next).toString)
     CvdStore.deleteRecursively(versioningDir(gen))

@@ -13,7 +13,8 @@ import repro.core.model.CvdStore
   *
   * Each partition `part-<pid>` holds a data table (rid, pk, a*) with
   * exactly the union of its member versions' records, and a versioning
-  * table (vid, rlist ARRAY<BIGINT>). Checkout and diff read one partition:
+  * table (vid, rlist ARRAY<BIGINT>) written from the driver's record sets
+  * by [[Membership.rlists]]. Checkout and diff read one partition:
   * a checkout looks up the version's versioning row, unnests the rlist and
   * hash-joins the partition's data table — the whole point of the
   * partition optimizer is that this table holds |R_k| ≤ |R| rows.
@@ -30,8 +31,8 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
   private var scheme = PartitionScheme(Vector.empty)
   private def partDir(pid: Int) = dir.resolve(s"part-$pid")
   private def tablePath(pid: Int, table: String) = partDir(pid).resolve(table).toString
-  private def dataOf(pid: Int) = spark.read.parquet(tablePath(pid, "data"))
-  private def versioningOf(pid: Int) = spark.read.parquet(tablePath(pid, "versioning"))
+  private def dataOf(pid: Int) = read(tablePath(pid, "data"), recordSchema)
+  private def versioningOf(pid: Int) = read(tablePath(pid, "versioning"), Membership.VersioningSchema)
 
   def currentScheme: PartitionScheme = scheme
 
@@ -46,12 +47,12 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
   /** Bulk-load the CVD under the given partitioning scheme. */
   def load(data: DataFrame, g: VersionGraph, s: PartitionScheme): Unit = {
     require(s.numVersions == g.numVersions)
-    registerGraph(g); scheme = s
+    registerGraph(data, g); scheme = s
     for (pid <- 0 until s.numPartitions) {
       val members = s.versionsOf(pid)
       restrict(data, g.allRecords, partitionRecords(members))
         .write.mode("overwrite").parquet(tablePath(pid, "data"))
-      writeVersioning(members, partDir(pid).resolve("versioning"))
+      writeVersioning(members, tablePath(pid, "versioning"))
     }
   }
 
@@ -65,10 +66,8 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
     if (rids == all) rows else rows.join(Membership.ridsDF(spark, rids), Seq("rid"), "left_semi")
 
   /** The (vid, rlist) versioning table of the `members` versions. */
-  private def writeVersioning(members: Seq[Int], out: Path): Unit =
-    Membership(spark, members.map(v => v -> recordsOf(v)))
-      .groupBy("vid").agg(sort_array(collect_list(col("rid"))) as "rlist")
-      .write.mode("overwrite").parquet(out.toString)
+  private def writeVersioning(members: Seq[Int], path: String): Unit =
+    Membership.rlists(spark, members.map(v => v -> recordsOf(v))).write.mode("overwrite").parquet(path)
 
   override def checkout(vid: Int): DataFrame = {
     val pid = scheme.pidOf(vid)
@@ -86,11 +85,8 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
   }
 
   override protected def write(vid: Int, parents: Seq[Int], c: CvdStore.Commit): Unit = {
-    import spark.implicits._
     val pid = closestParent(parents, c.records).map(scheme.pidOf).getOrElse(0)
-    // One-row append to the versioning table, built from the record set.
-    Seq((vid, c.records.toSeq)).toDF("vid", "rlist")
-      .write.mode("append").parquet(tablePath(pid, "versioning"))
+    Membership.rlists(spark, Seq(vid -> c.records)).write.mode("append").parquet(tablePath(pid, "versioning"))
     c.fresh.write.mode("append").parquet(tablePath(pid, "data"))
     val inherited = c.records.intersect(IntervalSet.unionAll(parents.map(recordsOf)))
     val lacking = inherited.diff(scheme.versionsOf.lift(pid).fold(IntervalSet.empty)(partitionRecords))
@@ -144,7 +140,7 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
       val out = tmp.resolve(s"part-${a.newPid}")
       parts.reduceOption(_ unionByName _).getOrElse(oldData(sources.head).where(lit(false)))
         .write.mode("overwrite").parquet(out.resolve("data").toString)
-      writeVersioning(members, out.resolve("versioning"))
+      writeVersioning(members, out.resolve("versioning").toString)
     }
     // Swap in the new partitions.
     for (p <- 0 until scheme.numPartitions) CvdStore.deleteRecursively(partDir(p))

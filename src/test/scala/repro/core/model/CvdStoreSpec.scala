@@ -3,8 +3,9 @@ package repro.core.model
 import java.nio.file.Files
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
 import org.scalatest.funsuite.AnyFunSuite
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkJobs, SparkSpec}
 import repro.core.VersioningBenchmark
 import scala.jdk.CollectionConverters._
 
@@ -95,6 +96,9 @@ class CvdStoreSpec extends AnyFunSuite with SparkSpec {
     finally w.close()
   }
 
+  private def columnTypes(df: DataFrame): Seq[(String, DataType)] =
+    df.schema.fields.toSeq.map(f => f.name -> f.dataType)
+
   for (storeIdx <- 0 until 5) {
     val names = Seq("a-table-per-version", "combined-table", "split-by-vlist",
       "split-by-rlist", "delta-based")
@@ -110,6 +114,19 @@ class CvdStoreSpec extends AnyFunSuite with SparkSpec {
 
     test(s"${names(storeIdx)}: checkout of a mid version matches DuckDB") {
       oracleCheckout(stores(storeIdx).checkout(6), 6)
+    }
+
+    test(s"${names(storeIdx)}: checkout has the loaded columns and types") {
+      val co = stores(storeIdx).checkout(6)
+      assert(columnTypes(co) == columnTypes(data))
+      oracleCheckout(co, 6)
+    }
+
+    test(s"${names(storeIdx)}: building a checkout or a diff runs no Spark job") {
+      val s = stores(storeIdx)
+      // v6's delta chain is at most 7 long, shorter than the checkpoint interval.
+      val (_, n) = SparkJobs.count(spark) { s.checkout(6); s.diffVersions(5, 3) }
+      assert(n.jobs == 0)
     }
 
     test(s"${names(storeIdx)}: diff(v, v) is empty and diff counts match record sets") {
@@ -160,6 +177,36 @@ class CvdStoreSpec extends AnyFunSuite with SparkSpec {
         assert((s.numVersions, files(s)) == before)
       }
       oracleCheckout(s.checkout(parent), parent)
+    }
+
+    test(s"${names(storeIdx)}: commit rejects a table whose columns or types are not the store's") {
+      val s = stores(storeIdx)
+      val parent = 3
+      val rows = versionRows(parent)
+      val before = (s.numVersions, files(s))
+      for (bad <- Seq(rows.drop("a2"), rows.withColumn("a1", col("a1").cast("string")))) {
+        val e = intercept[IllegalArgumentException](s.commit(bad, Seq(parent)))
+        assert(e.getMessage.startsWith("commit rejected"))
+        assert((s.numVersions, files(s)) == before)
+      }
+      oracleCheckout(s.checkout(parent), parent)
+    }
+
+    test(s"${names(storeIdx)}: a first commit into a fresh store fixes its columns and types") {
+      val s = makeStores()(storeIdx)
+      val t = spark.range(0, 50, 1, 2).select(col("id") as "pk", col("id").cast("int") as "a1",
+        lit(null).cast("long") as "rid", col("id").cast("string") as "a2")
+      val v = s.commit(t, Seq.empty)
+      val co = s.checkout(v)
+      assert(columnTypes(co) ==
+        Seq("rid" -> LongType, "pk" -> LongType, "a1" -> IntegerType, "a2" -> StringType))
+      Oracle.assertEquivalent(asStrings(co), freshSql("t", 0), "t" -> t)
+      // Column order and nullability are not part of the fixed schema.
+      val kept = co.where(col("pk") < 40).select("a2", "a1", "pk", "rid").localCheckpoint()
+      val v2 = s.commit(kept, Seq(v))
+      assert(columnTypes(s.checkout(v2)) == columnTypes(co))
+      Oracle.assertEquivalent(asStrings(s.checkout(v2)), "SELECT rid, pk, a1, a2 FROM k", "k" -> kept)
+      intercept[IllegalArgumentException](s.commit(t.withColumn("a1", col("a1").cast("long")), Seq(v)))
     }
   }
 

@@ -4,7 +4,8 @@ import java.nio.file.Files
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
-import repro.{Oracle, SparkSpec}
+import scala.jdk.CollectionConverters._
+import repro.{Oracle, SparkJobs, SparkSpec}
 import repro.core.{IntervalSet, Version, VersionGraph, VersioningBenchmark}
 
 class PartitionedStoreSpec extends AnyFunSuite with SparkSpec {
@@ -98,6 +99,34 @@ class PartitionedStoreSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
+  /** Each partition's versioning table holds one row per member version,
+    * its rlist exactly the version's records in `g` in ascending order,
+    * in `files(pid)` Parquet files: one per write to the partition.
+    */
+  private def assertVersioning(s: PartitionedStore, g: VersionGraph, files: Int => Int): Unit = {
+    val scheme = s.currentScheme
+    for (pid <- 0 until scheme.numPartitions) {
+      val dir = s.dir.resolve(s"part-$pid").resolve("versioning")
+      val rows = spark.read.parquet(dir.toString).collect().map(r => r.getInt(0) -> r.getSeq[Long](1))
+      assert(rows.map(_._1).sorted.toSeq == scheme.versionsOf(pid).sorted, s"partition $pid vids")
+      for ((v, rlist) <- rows) assert(rlist == g.versions(v).records.toSeq, s"v$v rlist")
+      val listing = Files.list(dir)
+      val n = try listing.iterator.asScala.count(_.getFileName.toString.endsWith(".parquet"))
+        finally listing.close()
+      assert(n == files(pid), s"partition $pid versioning files")
+    }
+  }
+
+  /** Run `body` with Spark's default broadcast threshold, the one the
+    * program's own session (`Jobs.session`) uses.
+    */
+  private def withDefaultBroadcast[T](body: => T): T = {
+    val key = "spark.sql.autoBroadcastJoinThreshold"
+    val was = spark.conf.get(key)
+    spark.conf.unset(key)
+    try body finally spark.conf.set(key, was)
+  }
+
   for (vid <- Seq(0, 7, 14)) {
     test(s"partitioned checkout of v$vid matches DuckDB") { oracleCheckout(vid) }
   }
@@ -127,6 +156,36 @@ class PartitionedStoreSpec extends AnyFunSuite with SparkSpec {
     assertPartitionFiles(committed, committedGraph)
   }
 
+  test("building a partitioned checkout, diff, data or withVid runs no Spark job") {
+    val s = store
+    val (_, n) = SparkJobs.count(spark) { s.checkout(7); s.diffVersions(14, 7); s.data; s.withVid() }
+    assert(n.jobs == 0)
+  }
+
+  test("versioning rows are each version's records in ascending order, one file per write") {
+    assertVersioning(store, graph, _ => 1)
+    val home = Seq(15, 16).map(committed.currentScheme.pidOf)
+    assertVersioning(committed, committedGraph, pid => 1 + home.count(_ == pid))
+  }
+
+  test("an unpartitioned load and a migration between LyreSplit schemes shuffle nothing") {
+    data.count()
+    val s = new PartitionedStore(spark, Files.createTempDirectory("pstore0"))
+    val (_, load) = SparkJobs.count(spark)(s.load(data, graph))
+    assert(load.shuffleWriteBytes == 0)
+    // The migration semi-joins each old partition with a driver-built rid
+    // set; the program's session broadcasts it, this suite's does not.
+    val m = new PartitionedStore(spark, Files.createTempDirectory("pstorem"))
+    m.load(data, graph, loadScheme)
+    val target = LyreSplit.run(graph, 0.8).scheme
+    assert(target != loadScheme)
+    val (_, migrate) = withDefaultBroadcast(SparkJobs.count(spark)(
+      m.migrate(target, Migration.plan(graph, loadScheme, target))))
+    assert(migrate.shuffleWriteBytes == 0)
+    assertVersioning(m, graph, _ => 1)
+    oracleCheck(m.checkout(9), versionSql(9))
+  }
+
   test("migration to a new scheme preserves checkout results") {
     val newScheme = LyreSplit.run(graph, 0.8).scheme
     val plan = Migration.plan(graph, store.currentScheme, newScheme)
@@ -143,6 +202,7 @@ class PartitionedStoreSpec extends AnyFunSuite with SparkSpec {
     committed.migrate(newScheme, Migration.plan(committedGraph, committed.currentScheme, newScheme))
     assert(committed.currentScheme == newScheme)
     assertPartitionFiles(committed, committedGraph)
+    assertVersioning(committed, committedGraph, _ => 1)
     // Every version at once, tagged with its vid.
     val vids = 0 until committedGraph.numVersions
     Oracle.assertEquivalent(

@@ -2,7 +2,7 @@ package repro.storage
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
-import repro.core.{IntervalSet, VersioningBenchmark}
+import repro.core.{IntervalSet, Membership, VersioningBenchmark}
 
 class DeltaGraphSpec extends AnyFunSuite with SparkSpec {
 
@@ -52,6 +52,25 @@ class DeltaGraphSpec extends AnyFunSuite with SparkSpec {
     for (p <- 1 to n; q <- 1 to n; if p != q) {
       assert(dg.mat(q) <= dg.mat(p) + dg.delta(p)(q) + 1e-9)
       assert(math.abs(dg.mat(p) - dg.delta(p)(q)) <= dg.mat(q) + 1e-9)
+    }
+  }
+
+  test("Membership.overlaps matches the driver-side graph with an empty and a disjoint version") {
+    // v3 is empty; v4 shares records with v0 and v2; v5 shares none.
+    val all = sets ++ Vector(IntervalSet.empty,
+      IntervalSet.fromIntervals(Seq((3L, 6L), (25L, 26L))), IntervalSet.range(100, 104))
+    val n = all.length
+    val (pairs, sizes) = Membership.overlaps(Membership(spark, all.indices.map(v => v -> all(v))))
+    assert(sizes == all.indices.filterNot(all(_).isEmpty).map(v => v -> all(v).size).toMap)
+    assert(pairs == (for (u <- 0 until n; v <- u + 1 until n; x = all(u).intersectSize(all(v)); if x > 0)
+      yield (u, v) -> x).toMap)
+    val m = Membership(spark, all.indices.map(v => v -> all(v)))
+    for (mode <- Seq(DeltaMode.Undirected, DeltaMode.DirectedEq, DeltaMode.DirectedNeq)) {
+      val viaSpark = DeltaGraph.fromMembership(spark, m, n, mode)
+      val viaDriver = DeltaGraph.fromRecordSets(all, mode)
+      for (i <- 0 to n)
+        assert(viaSpark.delta(i).sameElements(viaDriver.delta(i)) &&
+          viaSpark.phi(i).sameElements(viaDriver.phi(i)), s"$mode row $i")
     }
   }
 
