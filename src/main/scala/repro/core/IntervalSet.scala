@@ -142,8 +142,6 @@ object IntervalSet {
   def range(start: Long, end: Long): IntervalSet =
     if (end < start) empty else new IntervalSet(Vector((start, end)))
 
-  def single(x: Long): IntervalSet = range(x, x)
-
   /** Normalize arbitrary (possibly overlapping/adjacent) intervals. */
   def fromIntervals(raw: Seq[(Long, Long)]): IntervalSet = {
     val sorted = raw.filter { case (s, e) => s <= e }.sortBy(_._1)

@@ -3,10 +3,11 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
+import scala.collection.mutable
 
 /** The version-record bipartite graph E as Spark relations: the one path
-  * from driver-side [[IntervalSet]]s to DataFrames, and the one rid-level
-  * version-overlap self-join.
+  * from driver-side [[IntervalSet]]s to DataFrames, its inverse, and the
+  * one version-overlap computation.
   */
 object Membership {
 
@@ -44,20 +45,38 @@ object Membership {
       .coalesce(1)
   }
 
-  /** Pairwise overlap counts |R(u) ∩ R(v)| for u < v, and each version's
-    * record count, from one distributed self-join on a (vid, rid)
-    * membership relation of distinct pairs (Σ_r c_r² rows, c_r the number
-    * of versions holding rid r): the pairs u ≤ v are counted in one
-    * aggregation, whose diagonal holds the sizes. Pairs sharing no record,
-    * and versions with no record, are absent.
+  /** Each version's record set from a (vid, rid) membership relation:
+    * the inverse of [[apply]]. Each Spark partition compresses its own
+    * rows into (vid, s, e) intervals, so one job runs and nothing is
+    * shuffled; the driver merges the intervals, which joins a version whose
+    * rids span partitions and drops repeated pairs. Versions with no
+    * record are absent.
     */
-  def overlaps(membership: DataFrame): (Map[(Int, Int), Long], Map[Int, Long]) = {
-    val m = membership.select(col("vid").cast("int") as "vid", col("rid"))
-    val counts = m.toDF("v1", "rid").join(m.toDF("v2", "rid"), Seq("rid"))
-      .where(col("v1") <= col("v2"))
-      .groupBy("v1", "v2").count().collect()
-      .map(r => (r.getInt(0), r.getInt(1)) -> r.getLong(2))
-    val (sizes, pairs) = counts.partition { case ((u, v), _) => u == v }
-    (pairs.toMap, sizes.map { case ((v, _), n) => v -> n }.toMap)
+  def recordSets(membership: DataFrame): Map[Int, IntervalSet] = {
+    import membership.sparkSession.implicits._
+    membership.select(col("vid").cast("int"), col("rid").cast("long")).as[(Int, Long)]
+      .mapPartitions { rows =>
+        val byVid = mutable.Map.empty[Int, mutable.ArrayBuffer[Long]]
+        for ((v, r) <- rows) byVid.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += r
+        byVid.iterator.flatMap { case (v, rids) =>
+          IntervalSet.fromSeq(rids.toSeq).intervals.map { case (s, e) => (v, s, e) }
+        }
+      }
+      .collect().toSeq
+      .groupMap(_._1)(t => (t._2, t._3))
+      .map { case (v, ivs) => v -> IntervalSet.fromIntervals(ivs) }
+  }
+
+  /** Pairwise overlap counts |R(u) ∩ R(v)| for u < v, and each version's
+    * record count, by interval intersection on the driver. Pairs sharing
+    * no record, and versions with no record, are absent.
+    */
+  def overlaps(sets: Map[Int, IntervalSet]): (Map[(Int, Int), Long], Map[Int, Long]) = {
+    val vs = sets.toVector.filterNot(_._2.isEmpty).sortBy(_._1)
+    val pairs = for {
+      i <- vs.indices.iterator; j <- (i + 1 until vs.length).iterator
+      x = vs(i)._2.intersectSize(vs(j)._2); if x > 0
+    } yield (vs(i)._1, vs(j)._1) -> x
+    (pairs.toMap, vs.map { case (v, s) => v -> s.size }.toMap)
   }
 }

@@ -19,8 +19,7 @@ final case class Version(
   *
   * Provides the statistics used throughout Chapter 5: the version-record
   * bipartite graph sizes (|V|, |R|, |E|), edge weights
-  * `w(vi, vj) = |R(vi) ∩ R(vj)|`, the DAG→tree transform of §5.3.1, and
-  * topological levels.
+  * `w(vi, vj) = |R(vi) ∩ R(vj)|`, and the DAG→tree transform of §5.3.1.
   */
 final case class VersionGraph(versions: Vector[Version]) {
   require(
@@ -80,14 +79,6 @@ final case class VersionGraph(versions: Vector[Version]) {
         others.diff(fromKept).size
       }
     }.sum
-
-  /** Topological depth of each version (roots at level 1), over the DAG. */
-  lazy val levels: Vector[Int] = {
-    val lvl = Array.fill(numVersions)(0)
-    for (v <- versions) // vids are topologically ordered (parents < child)
-      lvl(v.vid) = if (v.parents.isEmpty) 1 else v.parents.map(lvl).max + 1
-    lvl.toVector
-  }
 
   /** Children adjacency of the §5.3.1 version tree. */
   lazy val treeChildren: Vector[Vector[Int]] = {

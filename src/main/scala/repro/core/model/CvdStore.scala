@@ -119,6 +119,7 @@ abstract class CvdStore(val spark: SparkSession, val dir: Path) {
 
   def numVersions: Int = nextVid
   def parents(vid: Int): Seq[Int] = parentsOf(vid)
+  def records(vid: Int): IntervalSet = recordsOf(vid)
 
   /** Bulk-load bookkeeping: the record schema is `data`'s, and the
     * versions are `graph`'s.

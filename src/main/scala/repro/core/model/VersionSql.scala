@@ -2,6 +2,7 @@ package repro.core.model
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.core.{IntervalSet, Membership}
 import repro.core.partition.PartitionedStore
 
 /** §3.3.2: the OrpheusDB SQL surface on top of a CVD.
@@ -64,21 +65,15 @@ final class VersionSql(spark: SparkSession, store: PartitionedStore) {
       .drop("__prec", "__rk")
   }
 
-  /** v_diff: records in every version of `a` but in no version of `b`. */
+  /** v_diff: records in every version of `a` but in no version of `b`.
+    * The rid set is worked out on the driver from the store's record sets,
+    * so the data table is read once.
+    */
   def vDiff(a: Seq[Int], b: Seq[Int]): DataFrame = {
-    val inA = a.map(store.checkout(_).select("rid")).reduce(_ intersect _)
-    val inB = b.map(store.checkout(_).select("rid")).reduce(_ union _).distinct()
-    store.data.join(inA.except(inB), Seq("rid"))
+    val rids = a.map(store.records).reduce(_ intersect _).diff(IntervalSet.unionAll(b.map(store.records)))
+    store.data.join(Membership.ridsDF(spark, rids), Seq("rid"), "left_semi")
   }
 
   /** v_intersect: records present in all listed versions. */
-  def vIntersect(vids: Seq[Int]): DataFrame = {
-    val rids = vids.map(store.checkout(_).select("rid")).reduce(_ intersect _)
-    store.data.join(rids, Seq("rid"))
-  }
-}
-
-object VersionSql {
-  /** Adapt a split-by-rlist store, partitioned or not. */
-  def forStore(spark: SparkSession, store: PartitionedStore): VersionSql = new VersionSql(spark, store)
+  def vIntersect(vids: Seq[Int]): DataFrame = vDiff(vids, Nil)
 }

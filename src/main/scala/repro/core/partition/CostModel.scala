@@ -80,7 +80,4 @@ object CostModel {
   /** Lower bound on C_avg: |E|/|V| (Observation 5.1). */
   def minCheckoutCost(g: VersionGraph): Double =
     g.numBipartiteEdges.toDouble / g.numVersions
-
-  /** Lower bound on S: |R| (Observation 5.2). */
-  def minStorageCost(g: VersionGraph): Long = g.numRecords
 }

@@ -6,9 +6,9 @@ import repro.storage._
 
 /** Table T6 — reproduces Table 7.1 / §7.5: the storage-recreation
   * tradeoff across the six problems and three scenarios. The Δ/Φ graph is
-  * built with a distributed Spark self-join over the membership relation;
-  * each solver's total storage C, average recreation R̄ and max recreation
-  * are reported.
+  * built from the membership relation: record sets recovered in one Spark
+  * pass, intersected on the driver; each solver's total storage C, average
+  * recreation R̄ and max recreation are reported.
   */
 object T6StorageRecreation {
 

@@ -8,8 +8,9 @@ import repro.core.{Membership, VersionGraph}
   * registered derivation metadata; only their content (and a file
   * timestamp) is available.
   *
-  * Edge inference (§8.4): pairwise record overlaps are computed with one
-  * distributed self-join over the membership relation; each version's
+  * Edge inference (§8.4): each version's record set is recovered from the
+  * membership relation in one Spark pass, and pairwise record overlaps are
+  * counted by interval intersection on the driver; each version's
   * parent(s) are the earlier versions that best explain its content —
   * the maximum-overlap predecessor, plus any additional predecessor that
   * explains enough records the first one does not (merge detection).
@@ -39,10 +40,12 @@ object LineageInference {
   }
 
   /** Pairwise overlap counts |R(u) ∩ R(v)| for u < v and each version's
-    * record count: the self-join of [[Membership.overlaps]].
+    * record count: [[Membership.overlaps]] of the record sets recovered
+    * from the membership relation.
     */
   def pairwiseOverlaps(spark: SparkSession, membership: DataFrame)
-      : (Map[(Int, Int), Long], Map[Int, Long]) = Membership.overlaps(membership)
+      : (Map[(Int, Int), Long], Map[Int, Long]) =
+    Membership.overlaps(Membership.recordSets(membership))
 
   /** Infer the version DAG.
     *

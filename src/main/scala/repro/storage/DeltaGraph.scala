@@ -46,40 +46,19 @@ object DeltaMode {
 
 object DeltaGraph {
 
-  /** Build the complete graph from per-version record sets (driver side). */
+  /** Build the complete graph from per-version record sets (driver side):
+    * version v is node v + 1.
+    */
   def fromRecordSets(sets: Vector[IntervalSet], mode: DeltaMode): DeltaGraph = {
     val n = sets.length
     val sizes = sets.map(_.size.toDouble)
-    val inter = Array.ofDim[Double](n, n)
-    for (i <- 0 until n; j <- i + 1 until n) {
-      val x = sets(i).intersectSize(sets(j)).toDouble
-      inter(i)(j) = x; inter(j)(i) = x
-    }
-    build(n, sizes, (i, j) => inter(i)(j), mode)
-  }
-
-  /** Build the graph from a (vid, rid) membership DataFrame with the
-    * distributed self-join of [[Membership.overlaps]] — the Spark path for
-    * large collections (DESIGN.md §4). vids must be dense 0..n-1.
-    */
-  def fromMembership(spark: SparkSession, membership: DataFrame, n: Int,
-                     mode: DeltaMode): DeltaGraph = {
-    val (overlaps, sizes) = Membership.overlaps(membership)
-    val inter = Array.ofDim[Double](n, n)
-    for (((i, j), c) <- overlaps) { inter(i)(j) = c.toDouble; inter(j)(i) = c.toDouble }
-    build(n, Vector.tabulate(n)(v => sizes.getOrElse(v, 0L).toDouble), (i, j) => inter(i)(j), mode)
-  }
-
-  private def build(n: Int, sizes: Vector[Double],
-                    inter: (Int, Int) => Double, mode: DeltaMode): DeltaGraph = {
     val delta = Array.fill(n + 1, n + 1)(Double.PositiveInfinity)
     val phi = Array.fill(n + 1, n + 1)(Double.PositiveInfinity)
     for (j <- 1 to n) {
       delta(0)(j) = sizes(j - 1); phi(0)(j) = sizes(j - 1)
       delta(j)(j) = 0; phi(j)(j) = 0
     }
-    for (i <- 1 to n; j <- 1 to n; if i != j) {
-      val common = inter(i - 1, j - 1)
+    def edge(i: Int, j: Int, common: Double): Unit = {
       val onlyI = sizes(i - 1) - common    // in i, not in j (deletes for i→j)
       val onlyJ = sizes(j - 1) - common    // in j, not in i (inserts for i→j)
       mode match {
@@ -94,7 +73,23 @@ object DeltaGraph {
           phi(i)(j) = onlyI + onlyJ
       }
     }
-    val directed = mode != DeltaMode.Undirected
-    new DeltaGraph(n, delta, phi, directed)
+    for (i <- 1 to n; j <- i + 1 to n) {
+      val common = sets(i - 1).intersectSize(sets(j - 1)).toDouble
+      edge(i, j, common); edge(j, i, common)
+    }
+    new DeltaGraph(n, delta, phi, directed = mode != DeltaMode.Undirected)
+  }
+
+  /** Build the graph from a (vid, rid) membership DataFrame over the record
+    * sets [[Membership.recordSets]] recovers. A vid in 0..n-1 with no
+    * record is an empty version; a vid outside it is rejected with an
+    * `IllegalArgumentException`.
+    */
+  def fromMembership(spark: SparkSession, membership: DataFrame, n: Int,
+                     mode: DeltaMode): DeltaGraph = {
+    val sets = Membership.recordSets(membership)
+    val outside = sets.keys.filter(v => v < 0 || v >= n).toSeq.sorted
+    require(outside.isEmpty, s"membership vid(s) ${outside.mkString(", ")} outside 0..${n - 1}")
+    fromRecordSets(Vector.tabulate(n)(sets.getOrElse(_, IntervalSet.empty)), mode)
   }
 }

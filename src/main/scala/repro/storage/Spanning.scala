@@ -110,12 +110,6 @@ object Spanning {
     StorageSolution(par.toVector)
   }
 
-  /** Shortest-path distances from node 0 over Φ (companion to the SPT). */
-  def shortestDistances(g: DeltaGraph): Vector[Double] = {
-    val sol = dijkstraSPT(g)
-    0.0 +: sol.recreationCosts(g)
-  }
-
   /** Chu-Liu/Edmonds minimum-cost arborescence rooted at node 0 over Δ —
     * optimal for Problem 7.1 in the directed case.
     */

@@ -55,11 +55,6 @@ class VersionGraphSpec extends AnyFunSuite {
     assert(g.numDuplicatedRecords == 2)
   }
 
-  test("levels are topological depths") {
-    val g = fig42
-    assert(g.levels == Vector(1, 2, 2, 3))
-  }
-
   test("tree graphs have no duplicated records") {
     val g = VersionGraph(Vector(
       Version(0, Vector.empty, IntervalSet.range(0, 9), 0),

@@ -1,6 +1,7 @@
 package repro.core.model
 
 import java.nio.file.Files
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec}
@@ -20,7 +21,7 @@ class VersionSqlSpec extends AnyFunSuite with SparkSpec {
   private lazy val vsql: VersionSql = {
     val store = new SplitByRlist(spark, Files.createTempDirectory("vsql"))
     store.load(data, graph)
-    VersionSql.forStore(spark, store)
+    new VersionSql(spark, store)
   }
 
   test("SELECT over a single version matches DuckDB") {
@@ -61,26 +62,28 @@ class VersionSqlSpec extends AnyFunSuite with SparkSpec {
       "data" -> data, "membership" -> membership)
   }
 
+  /** DuckDB's rows of `data` in every version of `in` and in no version
+    * of `out`, checked against `df`.
+    */
+  private def assertRows(df: DataFrame, in: Seq[Int], out: Seq[Int]): Unit = {
+    def member(v: Int) = s"d.rid IN (SELECT rid FROM membership WHERE vid = '$v')"
+    val where = in.map(member) ++ out.map(v => s"NOT ${member(v)}")
+    Oracle.assertEquivalent(
+      df.select(df.columns.toSeq.map(c => col(c).cast("string") as c): _*),
+      s"SELECT d.* FROM data d WHERE ${where.mkString(" AND ")}",
+      "data" -> data, "membership" -> membership)
+  }
+
   test("v_diff returns records in the first argument set only") {
-    val df = vsql.vDiff(Seq(5), Seq(3))
-    val expect = graph.versions(5).records.diff(graph.versions(3).records)
-    assert(df.count() == expect.size)
-    assert(df.select("rid").collect().map(_.getLong(0)).toSet == expect.toSeq.toSet)
+    assertRows(vsql.vDiff(Seq(5), Seq(3)), Seq(5), Seq(3))
   }
 
   test("v_diff with multi-version arguments") {
-    val df = vsql.vDiff(Seq(5, 6), Seq(0))
-    val expect = graph.versions(5).records.intersect(graph.versions(6).records)
-      .diff(graph.versions(0).records)
-    assert(df.count() == expect.size)
+    assertRows(vsql.vDiff(Seq(5, 6), Seq(0)), Seq(5, 6), Seq(0))
   }
 
   test("v_intersect returns records common to all versions") {
-    val df = vsql.vIntersect(Seq(0, 4, 8))
-    val expect = graph.versions(0).records
-      .intersect(graph.versions(4).records)
-      .intersect(graph.versions(8).records)
-    assert(df.count() == expect.size)
+    assertRows(vsql.vIntersect(Seq(0, 4, 8)), Seq(0, 4, 8), Nil)
   }
 
   test("non-OrpheusDB SQL is rejected") {

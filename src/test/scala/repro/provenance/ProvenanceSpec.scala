@@ -3,7 +3,7 @@ package repro.provenance
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
 import repro.core.VersioningBenchmark
 
 class ProvenanceSpec extends AnyFunSuite with SparkSpec {
@@ -19,14 +19,30 @@ class ProvenanceSpec extends AnyFunSuite with SparkSpec {
   private def ts(g: repro.core.VersionGraph): Map[Int, Long] =
     g.versions.map(v => v.vid -> v.commitTs).toMap
 
-  test("pairwise overlaps via Spark join match driver-side intersections") {
+  test("pairwise overlaps from membership match driver-side intersections") {
     val m = VersioningBenchmark.membershipDF(spark, sci)
     val (ov, sizes) = LineageInference.pairwiseOverlaps(spark, m)
-    for (i <- 0 until 5; j <- i + 1 until 5) {
+    val n = sci.numVersions
+    for (i <- 0 until n; j <- i + 1 until n) {
       assert(ov.getOrElse((i, j), 0L) == sci.weight(i, j), s"overlap($i,$j)")
     }
-    for (v <- sci.versions.take(5))
+    for (v <- sci.versions)
       assert(sizes(v.vid) == v.records.size)
+  }
+
+  test("pairwise overlaps on a merge graph match a DuckDB self-join") {
+    import spark.implicits._
+    assert(cur.hasMerges)
+    val m = VersioningBenchmark.membershipDF(spark, cur)
+    val (ov, sizes) = LineageInference.pairwiseOverlaps(spark, m)
+    val rows = ov.toSeq ++ sizes.toSeq.map { case (v, n) => (v, v) -> n }
+    Oracle.assertEquivalent(
+      rows.map { case ((u, v), n) => (u.toString, v.toString, n.toString) }.toDF("v1", "v2", "n"),
+      """SELECT a.vid AS v1, b.vid AS v2, count(*) AS n
+        |FROM membership a JOIN membership b ON a.rid = b.rid
+        |WHERE CAST(a.vid AS INT) <= CAST(b.vid AS INT)
+        |GROUP BY a.vid, b.vid""".stripMargin,
+      "membership" -> m)
   }
 
   test("inference recovers the SCI tree with high precision and recall") {

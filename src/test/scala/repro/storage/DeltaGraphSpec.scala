@@ -1,7 +1,7 @@
 package repro.storage
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
+import repro.{SparkJobs, SparkSpec}
 import repro.core.{IntervalSet, Membership, VersioningBenchmark}
 
 class DeltaGraphSpec extends AnyFunSuite with SparkSpec {
@@ -56,15 +56,22 @@ class DeltaGraphSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("Membership.overlaps matches the driver-side graph with an empty and a disjoint version") {
-    // v3 is empty; v4 shares records with v0 and v2; v5 shares none.
+    // v3 is empty; v4 shares records with v0 and v2, with single-rid
+    // intervals; v5 shares none.
     val all = sets ++ Vector(IntervalSet.empty,
-      IntervalSet.fromIntervals(Seq((3L, 6L), (25L, 26L))), IntervalSet.range(100, 104))
+      IntervalSet.fromIntervals(Seq((3L, 6L), (8L, 8L), (25L, 26L), (28L, 28L))),
+      IntervalSet.range(100, 104))
     val n = all.length
-    val (pairs, sizes) = Membership.overlaps(Membership(spark, all.indices.map(v => v -> all(v))))
+    // Three partitions split a version's rids; one (vid, rid) pair repeats.
+    val m = Membership(spark, all.indices.map(v => v -> all(v)))
+      .unionByName(Membership(spark, Seq(4 -> IntervalSet.range(8, 8))))
+      .repartition(3)
+    val recovered = Membership.recordSets(m)
+    assert(recovered == all.indices.filterNot(all(_).isEmpty).map(v => v -> all(v)).toMap)
+    val (pairs, sizes) = Membership.overlaps(recovered)
     assert(sizes == all.indices.filterNot(all(_).isEmpty).map(v => v -> all(v).size).toMap)
     assert(pairs == (for (u <- 0 until n; v <- u + 1 until n; x = all(u).intersectSize(all(v)); if x > 0)
       yield (u, v) -> x).toMap)
-    val m = Membership(spark, all.indices.map(v => v -> all(v)))
     for (mode <- Seq(DeltaMode.Undirected, DeltaMode.DirectedEq, DeltaMode.DirectedNeq)) {
       val viaSpark = DeltaGraph.fromMembership(spark, m, n, mode)
       val viaDriver = DeltaGraph.fromRecordSets(all, mode)
@@ -74,7 +81,7 @@ class DeltaGraphSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
-  test("distributed (Spark join) construction matches the driver-side one") {
+  test("membership construction matches the driver-side one") {
     val g = VersioningBenchmark.sci(12, 300, 40, 10, 3, seed = 13)
     val m = VersioningBenchmark.membershipDF(spark, g)
     val viaSpark = DeltaGraph.fromMembership(spark, m, g.numVersions, DeltaMode.Undirected)
@@ -82,5 +89,24 @@ class DeltaGraphSpec extends AnyFunSuite with SparkSpec {
     for (i <- 0 to g.numVersions; j <- 1 to g.numVersions; if i != j)
       assert(math.abs(viaSpark.delta(i)(j) - viaDriver.delta(i)(j)) < 1e-9,
         s"Δ($i)($j) mismatch")
+  }
+
+  test("fromMembership rejects a vid outside 0..n-1, naming it") {
+    val shared = Seq(0 -> IntervalSet.range(0, 9), 1 -> IntervalSet.range(5, 14))
+    for ((vid, s) <- Seq(2 -> IntervalSet.range(0, 4), 2 -> IntervalSet.range(50, 54),
+                         -1 -> IntervalSet.range(0, 4))) {
+      val m = Membership(spark, shared :+ (vid -> s))
+      val e = intercept[IllegalArgumentException](
+        DeltaGraph.fromMembership(spark, m, 2, DeltaMode.Undirected))
+      assert(e.getMessage.contains(s"vid(s) $vid "), e.getMessage)
+    }
+  }
+
+  test("Membership.recordSets runs one Spark job and shuffles nothing") {
+    val g = VersioningBenchmark.sci(12, 300, 40, 10, 3, seed = 13)
+    val (sets, counts) = SparkJobs.count(spark)(
+      Membership.recordSets(VersioningBenchmark.membershipDF(spark, g)))
+    assert(sets == g.versions.map(v => v.vid -> v.records).toMap)
+    assert(counts == SparkJobs.Counts(jobs = 1, shuffleWriteBytes = 0))
   }
 }
