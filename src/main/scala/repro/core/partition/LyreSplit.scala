@@ -92,13 +92,13 @@ object LyreSplit {
           acc.toSet
         }
         // Pick the cut that best balances version counts; break ties by
-        // record balance (§5.2).
+        // record balance (§5.2), then by the lowest vid.
         val best = candidates.minBy { v =>
           val sub = subtree(v)
           val vImb = math.abs(2L * sub.size - vCount)
           val subR = sub.iterator.map(u => if (u == v) sizeR(u) else sizeR(u) - wPar(u)).sum
           val rImb = math.abs(2L * subR - rCount)
-          (vImb, rImb)
+          (vImb, rImb, v)
         }
         val subSet = subtree(best)
         split(best, subSet, level + 1)
