@@ -90,13 +90,14 @@ object T7Job {
 }
 
 /** VQuel demo: runs the thesis's example queries over a small repository
-  * built from the TPC-H-lite generators.
+  * of two versions of a 150-row customer table.
   */
 object VQuelJob {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("vquel-demo")
     import repro.lang._
-    val c1 = repro.SynthData.customer(spark, 0.001)
+    val c1 = spark.range(1, 151).toDF("c_custkey").withColumn("c_acctbal",
+      org.apache.spark.sql.functions.round(org.apache.spark.sql.functions.rand(2) * 10000 - 1000, 2))
     val c2 = c1.withColumn("c_acctbal",
       org.apache.spark.sql.functions.col("c_acctbal") + 10)
     val repo = Repository(Vector(
