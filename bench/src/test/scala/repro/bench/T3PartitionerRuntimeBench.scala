@@ -1,7 +1,9 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.experiments.{T3PartitionerRuntime, Workloads}
+import repro.core.VersioningBenchmark
+import repro.core.partition.{CostModel, LyreSplit}
+import repro.experiments.{T3PartitionerRuntime, Tables, Workloads}
 
 /** T3 — Fig 5.10/5.12: partitioner running times at γ = 2|R|. Shape:
   * LyreSplit is orders of magnitude faster than both NScale baselines
@@ -38,5 +40,22 @@ class T3PartitionerRuntimeBench extends AnyFunSuite {
     for (((name, g), _) <- datasets.zipWithIndex; r <- rows.filter(_.dataset == name))
       assert(r.storageRecords <= 2 * g.numRecords,
         s"$name/${r.algo}: over budget")
+  }
+
+  test("driver-only LyreSplit at 5,000 SCI versions meets its budget") {
+    // No Spark and no baselines: only the version tree and interval sets,
+    // at a version count the NScale baselines cannot reach here.
+    val g = VersioningBenchmark.sci(
+      numVersions = 5000, base = 2000, updates = 180, inserts = 20, branches = 500, seed = 42)
+    val gamma = 2 * g.numRecords
+    val (r, runS) = Tables.timed(LyreSplit.run(g, 0.1))
+    val (b, budgetS) = Tables.timed(LyreSplit.forBudget(g, gamma))
+    val storage = CostModel.storageCost(g, b.scheme)
+    Tables.print("T3 — LyreSplit alone, SCI 5,000 versions (driver only, γ=2|R|)",
+      Seq("records", "run(δ=0.1)_s", "partitions", "forBudget_s", "partitions",
+        "storage_records", "checkout_records"),
+      Seq(Seq[Any](g.numRecords, runS, r.scheme.numPartitions, budgetS, b.scheme.numPartitions,
+        storage, CostModel.avgCheckoutCost(g, b.scheme))))
+    assert(storage <= gamma, s"forBudget: S=$storage over γ=$gamma")
   }
 }

@@ -58,10 +58,13 @@ object CostModel {
     partitionSizes(g, scheme).sum
 
   /** Average checkout cost C_avg = Σ_k |V_k||R_k| / n (Eq 5.2). */
-  def avgCheckoutCost(g: VersionGraph, scheme: PartitionScheme): Double = {
-    val sizes = partitionSizes(g, scheme)
+  def avgCheckoutCost(g: VersionGraph, scheme: PartitionScheme): Double =
+    avgCheckoutCost(scheme, partitionSizes(g, scheme))
+
+  /** C_avg from already computed partition sizes |R_k|. */
+  def avgCheckoutCost(scheme: PartitionScheme, sizes: Vector[Long]): Double = {
     val num = scheme.versionsOf.zip(sizes).map { case (ms, r) => ms.length.toLong * r }.sum
-    num.toDouble / g.numVersions
+    num.toDouble / scheme.numVersions
   }
 
   /** Checkout cost of a single version C_i = |R_k| where v_i ∈ P_k. */

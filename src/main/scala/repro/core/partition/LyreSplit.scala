@@ -21,11 +21,7 @@ object LyreSplit {
 
   /** Run Algorithm 5.1 with splitting parameter `delta` ∈ (0, 1]. */
   def run(g: VersionGraph, delta: Double): Result = {
-    val parent = g.treeParent
-    val sizeR = g.versions.map(_.records.size)
-    val wPar = g.versions.map { v =>
-      val p = parent(v.vid); if (p < 0) 0L else g.weight(p, v.vid)
-    }
+    val (sizeR, wPar) = recordWeights(g)
     runCore(g, delta, sizeR, wPar)
   }
 
@@ -39,85 +35,87 @@ object LyreSplit {
   def runWithSchema(g: VersionGraph, attrs: Vector[Set[Int]], delta: Double): Result = {
     require(attrs.length == g.numVersions)
     val parent = g.treeParent
-    val sizeCells = g.versions.map(v => attrs(v.vid).size.toLong * v.records.size)
+    val sizeCells = g.versions.map(v => attrs(v.vid).size.toLong * v.records.size).toArray
     val wPar = g.versions.map { v =>
       val p = parent(v.vid)
       if (p < 0) 0L
       else attrs(v.vid).intersect(attrs(p)).size.toLong * g.weight(p, v.vid)
-    }
+    }.toArray
     runCore(g, delta, sizeCells, wPar)
   }
 
+  /** |R(v)| and the tree-edge weight w(parent(v), v) (0 at a root) per vid. */
+  private def recordWeights(g: VersionGraph): (Array[Long], Array[Long]) = {
+    val parent = g.treeParent
+    (g.versions.map(_.records.size).toArray,
+      g.versions.map { v => val p = parent(v.vid); if (p < 0) 0L else g.weight(p, v.vid) }.toArray)
+  }
+
+  /** Splits fragments off a work stack, one pre-order collection and one
+    * reverse sweep per fragment, so a recursion level costs O(n). A
+    * fragment is the connected part of the tree below its root whose
+    * vids carry the root's fragment id.
+    */
   private def runCore(g: VersionGraph, delta: Double,
-                      sizeR: Vector[Long], wPar: Vector[Long]): Result = {
+                      sizeR: Array[Long], wPar: Array[Long]): Result = {
     require(delta > 0 && delta <= 1, s"delta must be in (0,1], got $delta")
     val n = g.numVersions
     val parent = g.treeParent
     val children = g.treeChildren
-
     val assignment = Array.fill(n)(-1)
-    var nextPid = 0
-    var maxLevel = 0
-
-    // frag: members of one connected tree fragment, rooted at `root`.
-    def split(root: Int, members: Set[Int], level: Int): Unit = {
+    val frag, order, pending = new Array[Int](n) // every tree starts as fragment 0
+    val subV = new Array[Int](n)  // versions in the fragment's subtree at v
+    val subR = new Array[Long](n) // Σ(sizeR − wPar) over that subtree
+    val work = mutable.Stack.empty[(Int, Int)] // (fragment root, level)
+    for (v <- n - 1 to 0 by -1; if parent(v) < 0) work.push((v, 0))
+    var nextFrag, nextPid, maxLevel = 0
+    while (work.nonEmpty) {
+      val (root, level) = work.pop()
       maxLevel = math.max(maxLevel, level)
-      val vCount = members.size.toLong
-      val eCount = members.iterator.map(sizeR(_)).sum
+      // Members in pre-order: the subtree at order(i) is order(i until i + subV).
+      var m, top = 0
+      pending(0) = root; top = 1
+      while (top > 0) {
+        top -= 1; val v = pending(top)
+        order(m) = v; m += 1
+        for (c <- children(v); if frag(c) == frag(root)) { pending(top) = c; top += 1 }
+      }
       // Tree-semantic record count of the fragment (Eq 5.4).
-      val rCount = members.iterator.map { v =>
-        if (v == root) sizeR(v) else sizeR(v) - wPar(v)
-      }.sum
-      val done = rCount.toDouble * vCount < eCount.toDouble / delta
+      var eCount, rCount = 0L
+      for (i <- 0 until m) {
+        val v = order(i)
+        subV(v) = 1; subR(v) = sizeR(v) - wPar(v)
+        eCount += sizeR(v); rCount += subR(v)
+      }
+      rCount += wPar(root)
       // Candidate split edges: (parent(v), v) inside the fragment with
-      // weight ≤ δ|R|.
-      val candidates =
-        if (done) Nil
-        else members.iterator
-          .filter(v => v != root && members.contains(parent(v)))
-          .filter(v => wPar(v) <= delta * rCount)
-          .toList
-      if (done || candidates.isEmpty) {
-        val pid = nextPid; nextPid += 1
-        members.foreach(assignment(_) = pid)
+      // weight ≤ δ|R|. Pick the cut that best balances version counts;
+      // break ties by record balance (§5.2), then by the lowest vid.
+      var best, bestAt, bestVImb = -1
+      var bestRImb = 0L
+      if (rCount.toDouble * m >= eCount.toDouble / delta) for (i <- m - 1 to 1 by -1) {
+        val v = order(i)
+        if (wPar(v) <= delta * rCount) {
+          val vImb = math.abs(2 * subV(v) - m)
+          val rImb = math.abs(2 * (subR(v) + wPar(v)) - rCount)
+          if (best < 0 || vImb < bestVImb ||
+              vImb == bestVImb && (rImb < bestRImb || rImb == bestRImb && v < best)) {
+            best = v; bestAt = i; bestVImb = vImb; bestRImb = rImb
+          }
+        }
+        subV(parent(v)) += subV(v); subR(parent(v)) += subR(v)
+      }
+      if (best < 0) {
+        for (i <- 0 until m) assignment(order(i)) = nextPid
+        nextPid += 1
       } else {
-        // Subtree size (versions and tree-records) below each candidate.
-        def subtree(v: Int): Set[Int] = {
-          val acc = mutable.Set(v)
-          val stack = mutable.Stack(v)
-          while (stack.nonEmpty)
-            for (c <- children(stack.pop()); if members.contains(c)) {
-              acc += c; stack.push(c)
-            }
-          acc.toSet
-        }
-        // Pick the cut that best balances version counts; break ties by
-        // record balance (§5.2), then by the lowest vid.
-        val best = candidates.minBy { v =>
-          val sub = subtree(v)
-          val vImb = math.abs(2L * sub.size - vCount)
-          val subR = sub.iterator.map(u => if (u == v) sizeR(u) else sizeR(u) - wPar(u)).sum
-          val rImb = math.abs(2L * subR - rCount)
-          (vImb, rImb, v)
-        }
-        val subSet = subtree(best)
-        split(best, subSet, level + 1)
-        split(root, members -- subSet, level + 1)
+        nextFrag += 1
+        for (i <- bestAt until bestAt + subV(best)) frag(order(i)) = nextFrag
+        // The cut subtree pops first, as in the recursive formulation.
+        work.push((root, level + 1)); work.push((best, level + 1))
       }
     }
-
-    // The version tree may be a forest only if the graph has several roots;
-    // our graphs have one root (vid 0), but handle the general case.
-    val roots = g.versions.filter(v => parent(v.vid) < 0).map(_.vid)
-    val byRoot = {
-      // Assign each vid to its tree root.
-      val rootOf = Array.fill(n)(-1)
-      def mark(r: Int, v: Int): Unit = { rootOf(v) = r; children(v).foreach(mark(r, _)) }
-      roots.foreach(r => mark(r, r))
-      (0 until n).groupBy(rootOf(_))
-    }
-    for (r <- roots) split(r, byRoot(r).toSet, 0)
-    Result(PartitionScheme(assignment.toVector).compact, maxLevel)
+    Result(PartitionScheme(assignment.toVector), maxLevel)
   }
 
   /** §5.2 binary search on δ for Problem 5.1: minimize C_avg subject to
@@ -127,6 +125,7 @@ object LyreSplit {
     */
   def forBudget(g: VersionGraph, gamma: Long, iters: Int = 20): Result = {
     val n = g.numVersions
+    val (sizeR, wPar) = recordWeights(g)
     var lo = g.numBipartiteEdges.toDouble /
       ((g.numRecords + g.numDuplicatedRecords).toDouble * n)
     var hi = 1.0
@@ -136,10 +135,11 @@ object LyreSplit {
     var continue = true
     while (it < iters && continue) {
       val mid = (lo + hi) / 2
-      val r = run(g, mid)
-      val s = CostModel.storageCost(g, r.scheme)
+      val r = runCore(g, mid, sizeR, wPar)
+      val sizes = CostModel.partitionSizes(g, r.scheme)
+      val s = sizes.sum
       if (s <= gamma) {
-        val c = CostModel.avgCheckoutCost(g, r.scheme)
+        val c = CostModel.avgCheckoutCost(r.scheme, sizes)
         if (c < bestC) { bestC = c; best = r }
         // Feasible: try a larger δ (more partitions, less checkout cost).
         lo = mid

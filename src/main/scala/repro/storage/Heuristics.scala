@@ -142,35 +142,45 @@ object Last {
     * DFS over the MST; on entry to v, if the running distance exceeds
     * α·d_SP(v), graft v onto its shortest-path parent.
     */
-  def run(g: DeltaGraph, alpha: Double): StorageSolution = {
-    require(alpha > 1, s"alpha must exceed 1, got $alpha")
+  def run(g: DeltaGraph, alpha: Double): StorageSolution = prepare(g)(alpha)
+
+  /** LAST's α-independent part — the MST, the SPT with its distances d_SP
+    * and the MST's children — computed once; the returned function runs
+    * only the O(n) α-dependent DFS, so a search over α calls it per probe.
+    */
+  def prepare(g: DeltaGraph): Double => StorageSolution = {
     val n = g.n
     val mst = Spanning.primMST(g)
     val spt = Spanning.dijkstraSPT(g)
     val dsp = 0.0 +: spt.recreationCosts(g) // indexed by node
     val sptPar = spt.parent
-
-    val par = mst.parent.toArray
-    val d = Array.fill(n + 1)(Double.PositiveInfinity)
-    d(0) = 0.0
     val kids = mst.children
 
-    def relax(u: Int, v: Int): Unit = {
-      val through = d(u) + g.sym(u, v)
-      if (through < d(v)) { d(v) = through; par(v) = u }
-    }
-
-    def dfs(v: Int): Unit = {
-      if (v != 0 && d(v) > alpha * dsp(v)) {
-        // Graft the whole shortest path to v (ancestors first).
-        def graft(x: Int): Unit = if (x != 0 && d(x) > dsp(x)) {
-          graft(sptPar(x)); d(x) = dsp(x); par(x) = sptPar(x)
+    alpha => {
+      require(alpha > 1, s"alpha must exceed 1, got $alpha")
+      val par = mst.parent.toArray
+      val d = Array.fill(n + 1)(Double.PositiveInfinity)
+      d(0) = 0.0
+      // Explicit DFS stack; nextKid(v) indexes v's next MST child to enter.
+      val stack, nextKid = new Array[Int](n + 1)
+      var top = 0
+      while (top >= 0) {
+        val v = stack(top)
+        if (nextKid(v) == kids(v).length) top -= 1
+        else {
+          val c = kids(v)(nextKid(v))
+          nextKid(v) += 1
+          if (d(v) + g.sym(v, c) < d(c)) { d(c) = d(v) + g.sym(v, c); par(c) = v }
+          // Graft the shortest path to c, up to its first node already at
+          // shortest distance.
+          var x = c
+          if (d(c) > alpha * dsp(c)) while (x != 0 && d(x) > dsp(x)) {
+            d(x) = dsp(x); par(x) = sptPar(x); x = sptPar(x)
+          }
+          top += 1; stack(top) = c
         }
-        graft(v)
       }
-      for (c <- kids(v)) { relax(v, c); dfs(c) }
+      StorageSolution(par.toVector)
     }
-    dfs(0)
-    StorageSolution(par.toVector)
   }
 }

@@ -36,25 +36,27 @@ object Problems {
     if (g.directed) ModifiedPrim.run(g, theta)
     else {
       // Find the largest α (cheapest tree) whose max recreation meets θ.
+      val last = Last.prepare(g)
       var lo = 1.000001; var hi = 64.0
       var best: Option[StorageSolution] = None
       for (_ <- 0 until 40) {
         val mid = (lo + hi) / 2
-        val sol = Last.run(g, mid)
+        val sol = last(mid)
         if (sol.maxRecreation(g) <= theta) { best = Some(sol); lo = mid }
         else hi = mid
       }
-      best.getOrElse(Last.run(g, 1.000001))
+      best.getOrElse(last(1.000001))
     }
 
   private def lastForBudget(g: DeltaGraph, beta: Double): StorageSolution = {
     // Smaller α ⇒ shorter paths, more storage. Binary search the smallest
     // α whose storage fits β.
+    val last = Last.prepare(g)
     var lo = 1.000001; var hi = 64.0
-    var best = Last.run(g, hi)
+    var best = last(hi)
     for (_ <- 0 until 40) {
       val mid = (lo + hi) / 2
-      val sol = Last.run(g, mid)
+      val sol = last(mid)
       if (sol.storageCost(g) <= beta) { best = sol; hi = mid }
       else lo = mid
     }

@@ -19,17 +19,18 @@ final case class StorageSolution(parent: Vector[Int]) {
   def recreationCosts(g: DeltaGraph): Vector[Double] = {
     val memo = Array.fill(n + 1)(Double.NaN)
     memo(0) = 0.0
+    val path = new Array[Int](n + 1)
+    val onPath = new Array[Boolean](n + 1)
     for (j0 <- 1 to n; if memo(j0).isNaN) {
       // Walk up to a memoized ancestor, then unwind.
-      var path = List.empty[Int]
+      var len = 0
       var j = j0
       while (memo(j).isNaN) {
-        if (path.contains(j))
+        if (onPath(j))
           throw new IllegalStateException(s"cycle in storage solution at node $j")
-        path ::= j
-        j = parent(j)
+        onPath(j) = true; path(len) = j; len += 1; j = parent(j)
       }
-      for (v <- path) memo(v) = memo(parent(v)) + g.phi(parent(v))(v)
+      for (v <- path.take(len).reverseIterator) memo(v) = memo(parent(v)) + g.phi(parent(v))(v)
     }
     (1 to n).toVector.map(memo(_))
   }
@@ -46,14 +47,16 @@ final case class StorageSolution(parent: Vector[Int]) {
 
   /** Validity: every version reachable from node 0 (acyclic parent map). */
   def isValid: Boolean = {
-    val seen = Array.fill(n + 1)(0) // 0 unvisited, 1 in-progress, 2 done
-    def ok(j: Int): Boolean = {
-      if (j == 0) true
-      else if (seen(j) == 2) true
-      else if (seen(j) == 1) false
-      else { seen(j) = 1; val r = ok(parent(j)); seen(j) = 2; r }
+    val seen = Array.fill(n + 1)(0) // 0 unvisited, 1 on the current walk, 2 reaches node 0
+    seen(0) = 2
+    (1 to n).forall { j0 =>
+      var j = j0
+      while (seen(j) == 0) { seen(j) = 1; j = parent(j) }
+      val ok = seen(j) == 2
+      j = j0
+      while (seen(j) == 1) { seen(j) = 2; j = parent(j) }
+      ok
     }
-    (1 to n).forall(ok)
   }
 }
 

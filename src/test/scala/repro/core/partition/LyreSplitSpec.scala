@@ -1,7 +1,7 @@
 package repro.core.partition
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.VersioningBenchmark
+import repro.core.{IntervalSet, Version, VersionGraph, VersioningBenchmark}
 
 class LyreSplitSpec extends AnyFunSuite {
 
@@ -98,5 +98,21 @@ class LyreSplitSpec extends AnyFunSuite {
     assert(one.scheme.numPartitions == 1)
     val many = LyreSplit.run(sci, 1.0)
     assert(many.scheme.numPartitions > 1)
+  }
+
+  test("run and forBudget handle a 50,000-version chain without recursion") {
+    // Each version keeps 90 of its parent's 100 records: a chain as deep
+    // as the graph, with every tree edge a split candidate.
+    val n = 50000
+    val chain = VersionGraph(Vector.tabulate(n) { i =>
+      Version(i, if (i == 0) Vector.empty else Vector(i - 1),
+        IntervalSet.range(10L * i, 10L * i + 99), i.toLong)
+    })
+    val r = LyreSplit.run(chain, 0.1)
+    assert(r.scheme.numVersions == n && r.scheme.numPartitions > 1)
+    val gamma = 2 * chain.numRecords
+    val b = LyreSplit.forBudget(chain, gamma)
+    assert(b.scheme.numPartitions > 1)
+    assert(CostModel.storageCost(chain, b.scheme) <= gamma)
   }
 }

@@ -1,7 +1,7 @@
 package repro.core.partition
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.VersioningBenchmark
+import repro.core.{VersionGraph, VersioningBenchmark}
 
 class MaintenanceSpec extends AnyFunSuite {
 
@@ -43,14 +43,22 @@ class MaintenanceSpec extends AnyFunSuite {
   }
 
   test("online maintenance tracks LyreSplit's best cost within tolerance") {
-    val res = OnlineMaintenance.simulate(g, gamma = 2 * g.numRecords, mu = 1.5,
-      evalEvery = 5)
-    assert(res.steps.nonEmpty)
-    // After each non-migration step the divergence stays under µ or a
-    // migration resets it; immediately after migration cost == best.
-    for (s <- res.steps; if !s.migrated)
-      assert(s.currentCost <= 1.5 * s.bestCost + 1e-6,
-        s"divergence exceeded µ without migration at vid ${s.vid}")
+    val gamma = 2 * g.numRecords
+    val res = OnlineMaintenance.simulate(g, gamma, mu = 1.5, evalEvery = 5)
+    assert(res.steps.map(_.vid) == ((4 until g.numVersions by 5) :+ (g.numVersions - 1)).distinct)
+    for (s <- res.steps) {
+      // Each check re-plans the prefix committed so far, from scratch.
+      val prefix = VersionGraph(g.versions.take(s.vid + 1))
+      val best = LyreSplit.forBudget(prefix, gamma).scheme
+      assert(s.bestCost == CostModel.avgCheckoutCost(prefix, best), s"vid ${s.vid}")
+      assert(s.migrated == (s.bestCost > 0 && s.currentCost / s.bestCost > 1.5), s"vid ${s.vid}")
+      if (s.migrated) {
+        assert(s.naiveModifiedRecords == Migration.naiveCost(prefix, best), s"vid ${s.vid}")
+        assert(s.migrationModifiedRecords <= s.naiveModifiedRecords, s"vid ${s.vid}")
+      } else assert(s.migrationModifiedRecords == 0 && s.naiveModifiedRecords == 0)
+    }
+    assert(res.numMigrations == res.steps.count(_.migrated))
+    assert(res.numMigrations > 0, "the check should exercise a migration")
   }
 
   test("smaller µ triggers migrations at least as often") {

@@ -36,6 +36,20 @@ class SpanningSpec extends AnyFunSuite {
     assert(StorageSolution(Vector(-1, 0, 1, 2)).isValid)
   }
 
+  test("isValid walks a 100,000-node chain without recursion") {
+    // Node j is a delta from j + 1 and node n is materialized, so the walk
+    // from node 1 is n deep.
+    val n = 100000
+    assert(StorageSolution(-1 +: Vector.tabulate(n)(j => if (j + 1 == n) 0 else j + 2)).isValid)
+    assert(!StorageSolution(-1 +: Vector.tabulate(n)(j => if (j + 1 == n) 1 else j + 2)).isValid)
+  }
+
+  test("recreationCosts rejects a cyclic parent map, naming the node") {
+    val g = DeltaGraph.fromRecordSets(randomSets(3, 1), DeltaMode.Undirected)
+    val e = intercept[IllegalStateException](StorageSolution(Vector(-1, 2, 3, 1)).recreationCosts(g))
+    assert(e.getMessage.contains("at node 1"))
+  }
+
   for (seed <- 0 until 5) {
     test(s"Prim MST matches brute-force minimum storage, undirected (seed=$seed)") {
       val g = DeltaGraph.fromRecordSets(randomSets(5, seed), DeltaMode.Undirected)
