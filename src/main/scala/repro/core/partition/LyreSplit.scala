@@ -63,7 +63,8 @@ object LyreSplit {
     val parent = g.treeParent
     val children = g.treeChildren
     val assignment = Array.fill(n)(-1)
-    val frag, order, pending = new Array[Int](n) // every tree starts as fragment 0
+    val frag = new Array[Int](n) // fragment id per vid; every tree starts as fragment 0
+    val order, pending = new Array[Int](n)
     val subV = new Array[Int](n)  // versions in the fragment's subtree at v
     val subR = new Array[Long](n) // Σ(sizeR − wPar) over that subtree
     val work = mutable.Stack.empty[(Int, Int)] // (fragment root, level)
@@ -73,8 +74,9 @@ object LyreSplit {
       val (root, level) = work.pop()
       maxLevel = math.max(maxLevel, level)
       // Members in pre-order: the subtree at order(i) is order(i until i + subV).
-      var m, top = 0
-      pending(0) = root; top = 1
+      var m = 0
+      var top = 1
+      pending(0) = root
       while (top > 0) {
         top -= 1; val v = pending(top)
         order(m) = v; m += 1
