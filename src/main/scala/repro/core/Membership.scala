@@ -34,14 +34,22 @@ object Membership {
     StructField("vid", IntegerType), StructField("rlist", ArrayType(LongType))))
 
   /** One (vid, rlist) versioning row per version, its rlist the version's
-    * rids in ascending order. The rows are built from a local relation of
-    * the intervals, so no rid crosses a shuffle, and sit in one partition:
-    * a write of them makes one file.
+    * rids in ascending order: one versioning table.
     */
-  def rlists(spark: SparkSession, sets: Seq[(Int, IntervalSet)]): DataFrame = {
+  def rlists(spark: SparkSession, sets: Seq[(Int, IntervalSet)]): DataFrame =
+    rlists(spark, sets, _ => 0).drop("pid")
+
+  /** The (pid, vid, rlist) rows of several versioning tables: version
+    * `vid`'s row belongs in partition `pidOf(vid)`'s table. The rows are
+    * built from a local relation of the intervals, so no rid crosses a
+    * shuffle, and sit in one Spark partition: a write of them makes one
+    * file, or one per pid when it is partitioned by `pid`.
+    */
+  def rlists(spark: SparkSession, sets: Seq[(Int, IntervalSet)], pidOf: Int => Int): DataFrame = {
     import spark.implicits._
-    sets.map { case (vid, s) => (vid, s.intervals) }.toDF("vid", "ivs")
-      .select(col("vid"), flatten(transform(col("ivs"), iv => sequence(iv("_1"), iv("_2")))) as "rlist")
+    sets.map { case (vid, s) => (pidOf(vid), vid, s.intervals) }.toDF("pid", "vid", "ivs")
+      .select(col("pid"), col("vid"),
+        flatten(transform(col("ivs"), iv => sequence(iv("_1"), iv("_2")))) as "rlist")
       .coalesce(1)
   }
 

@@ -49,9 +49,9 @@ object CostModel {
   def partitionRecords(g: VersionGraph, members: Seq[Int]): IntervalSet =
     IntervalSet.unionAll(members.map(v => g.versions(v).records))
 
-  /** |R_k| per partition. */
+  /** |R_k| per partition, counted without building R_k. */
   def partitionSizes(g: VersionGraph, scheme: PartitionScheme): Vector[Long] =
-    scheme.versionsOf.map(ms => partitionRecords(g, ms).size)
+    scheme.versionsOf.map(ms => IntervalSet.unionSize(ms.map(v => g.versions(v).records)))
 
   /** Total storage cost S = Σ_k |R_k| (in records; §5.1 Eq 5.1). */
   def storageCost(g: VersionGraph, scheme: PartitionScheme): Long =

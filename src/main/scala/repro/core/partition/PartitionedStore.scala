@@ -23,7 +23,9 @@ import repro.core.model.CvdStore
   * with it and appends one versioning row plus the net-new records — and,
   * for a merge across partitions, the inherited records that partition
   * lacks. `migrate` builds every new partition from the old partitions'
-  * files, so the store keeps no other copy of the data.
+  * files, so the store keeps no other copy of the data: it keeps an old
+  * partition's files where the new one only adds records to it, and
+  * writes every other partition's rows in one Spark job.
   */
 class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, dir) {
   override def name: String = "split-by-rlist"
@@ -114,39 +116,89 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
   /** Execute a migration to `newScheme` following `plan`; returns wall
     * seconds spent rewriting partition data.
     *
-    * Each new partition is built from old partition files only: it keeps
-    * what its mapped old partition holds (§5.4's delete), then takes each
-    * record still missing from the first old partition that holds it
-    * (the inserts). The driver splits the record set with IntervalSet
-    * algebra, so each row is read once and no anti-join runs.
+    * Each new partition is built from old partition files only. The driver
+    * splits its records with IntervalSet algebra into takes (old pid, new
+    * pid, rids): what its mapped old partition holds (§5.4's delete), then
+    * each record still missing from the first old partition that holds it
+    * (the inserts). A new partition whose mapped old partition holds none
+    * of its deletes keeps that partition's data files, hard-linked, and
+    * takes only its inserts. All other takes are one Spark job: the
+    * contributing old partitions, tagged with their pid, join the exploded
+    * takes on (old pid, rid), and the rows are written partitioned by new
+    * pid. Every partition's versioning rows are one more job, so a
+    * migration runs a fixed number of jobs whatever the partition count.
+    * The new partitions are staged beside the old ones, which are deleted
+    * only when every write has finished.
+    *
+    * Throws `IllegalArgumentException`, before anything is written, when
+    * the plan does not assign each new partition exactly once or maps an old
+    * partition that does not exist or that another assignment maps.
     */
   def migrate(newScheme: PartitionScheme, plan: Migration.Plan): Double = {
     require(newScheme.numVersions == scheme.numVersions)
+    validate(newScheme, plan)
     val t0 = System.nanoTime()
     val old = scheme.versionsOf.map(partitionRecords)
-    val oldData = old.indices.map(dataOf)
-    val tmp = dir.resolve("migrating")
-    CvdStore.deleteRecursively(tmp)
-    Files.createDirectories(tmp)
+    val takes = Vector.newBuilder[(Int, Int, Long, Long)] // (old pid, new pid, s, e)
+    val reused = Vector.newBuilder[(Int, Int)]            // (old pid, new pid)
     for (a <- plan.assignments) {
-      val members = newScheme.versionsOf(a.newPid)
-      var missing = partitionRecords(members)
-      val sources = a.fromOldPid.toSeq ++ old.indices.filterNot(a.fromOldPid.contains)
-      val parts = sources.flatMap { pid =>
+      val target = partitionRecords(newScheme.versionsOf(a.newPid))
+      val kept = a.fromOldPid.filter(j => old(j).diff(target).isEmpty)
+      kept.foreach(j => reused += j -> a.newPid)
+      var missing = kept.fold(target)(j => target.diff(old(j)))
+      for (pid <- a.fromOldPid.toSeq ++ old.indices.filterNot(a.fromOldPid.contains)) {
         val take = missing.intersect(old(pid))
         missing = missing.diff(take)
-        Option.when(!take.isEmpty)(restrict(oldData(pid), old(pid), take))
+        for ((s, e) <- take.intervals) takes += ((pid, a.newPid, s, e))
       }
-      val out = tmp.resolve(s"part-${a.newPid}")
-      parts.reduceOption(_ unionByName _).getOrElse(oldData(sources.head).where(lit(false)))
-        .write.mode("overwrite").parquet(out.resolve("data").toString)
-      writeVersioning(members, out.resolve("versioning").toString)
+    }
+    val staging = dir.resolve("migrating")
+    CvdStore.deleteRecursively(staging)
+    val ts = takes.result()
+    if (ts.nonEmpty) {
+      import spark.implicits._
+      val rids = ts.toDF("src", "pid", "s", "e")
+        .select(col("src"), col("pid"), explode(sequence(col("s"), col("e"))) as "rid")
+      ts.map(_._1).distinct.map(p => dataOf(p).withColumn("src", lit(p))).reduce(_ unionByName _)
+        .join(rids, Seq("src", "rid"))
+        .select((recordSchema.fieldNames :+ "pid").map(col).toSeq: _*)
+        .write.partitionBy("pid").parquet(staging.resolve("data").toString)
+    }
+    Membership.rlists(spark, (0 until newScheme.numVersions).map(v => v -> recordsOf(v)), newScheme.pidOf)
+      .write.partitionBy("pid").parquet(staging.resolve("versioning").toString)
+    for ((j, k) <- reused.result()) {
+      val to = Files.createDirectories(staging.resolve("data").resolve(s"pid=$k"))
+      val files = Files.list(partDir(j).resolve("data"))
+      try files.forEach(f => Files.createLink(to.resolve(f.getFileName), f)) finally files.close()
     }
     // Swap in the new partitions.
     for (p <- 0 until scheme.numPartitions) CvdStore.deleteRecursively(partDir(p))
-    for (a <- plan.assignments) Files.move(tmp.resolve(s"part-${a.newPid}"), partDir(a.newPid))
-    CvdStore.deleteRecursively(tmp)
+    for (k <- 0 until newScheme.numPartitions; table <- Seq("data", "versioning")) {
+      val staged = staging.resolve(table).resolve(s"pid=$k")
+      val to = Files.createDirectories(partDir(k)).resolve(table)
+      if (Files.exists(staged)) Files.move(staged, to) else Files.createDirectories(to)
+    }
+    CvdStore.deleteRecursively(staging)
     scheme = newScheme
     (System.nanoTime() - t0) / 1e9
+  }
+
+  /** Rejects a plan that does not assign each of `newScheme`'s partitions
+    * exactly once, or that maps an old partition out of range or twice.
+    */
+  private def validate(newScheme: PartitionScheme, plan: Migration.Plan): Unit = {
+    def reject(msg: String): Nothing = throw new IllegalArgumentException(s"migration rejected: $msg")
+    val (n, m) = (newScheme.numPartitions, scheme.numPartitions)
+    val times = plan.assignments.groupMapReduce(_.newPid)(_ => 1)(_ + _)
+    for (k <- times.keys.toSeq.sorted) {
+      if (k < 0 || k >= n) reject(s"new partition $k is not in the scheme's partitions 0 until $n")
+      if (times(k) > 1) reject(s"new partition $k is assigned ${times(k)} times")
+    }
+    (0 until n).find(!times.contains(_)).foreach(k => reject(s"new partition $k has no assignment"))
+    val mapped = plan.assignments.sortBy(_.newPid).flatMap(a => a.fromOldPid.map(_ -> a.newPid))
+    for ((j, k) <- mapped if j < 0 || j >= m)
+      reject(s"old partition $j, mapped by new partition $k, is not in 0 until $m")
+    for ((j, ks) <- mapped.groupMap(_._1)(_._2).toSeq.sortBy(_._1) if ks.length > 1)
+      reject(s"old partition $j is mapped by new partitions ${ks.mkString(", ")}")
   }
 }

@@ -20,6 +20,18 @@ object IntervalSetPropertySpec extends Properties("IntervalSet") {
 
   private implicit val arbSet: Arbitrary[IntervalSet] = Arbitrary(genSet)
 
+  /** Lists of sets, some empty, whose members often touch or overlap: the
+    * grid sets' intervals start and end on multiples of 5, so one set's
+    * interval often ends right before another's starts.
+    */
+  private val genSets: Gen[List[IntervalSet]] = Gen.listOf(Gen.oneOf(genSet, for {
+    n <- Gen.choose(0, 4)
+    ivs <- Gen.listOfN(n, for {
+      s <- Gen.choose(0L, 40L)
+      len <- Gen.choose(1L, 3L)
+    } yield (5 * s, 5 * (s + len) - 1))
+  } yield IntervalSet.fromIntervals(ivs)))
+
   property("normalized: sorted, disjoint, non-adjacent intervals") =
     forAll { (a: IntervalSet) =>
       val ivs = a.intervals
@@ -79,5 +91,11 @@ object IntervalSetPropertySpec extends Properties("IntervalSet") {
   property("union/diff round-trip: (A∪B)\\B = A\\B") =
     forAll { (a: IntervalSet, b: IntervalSet) =>
       a.union(b).diff(b) == a.diff(b)
+    }
+
+  property("unionAll and unionSize equal the normalized flatten of all members") =
+    forAll(genSets) { (sets: List[IntervalSet]) =>
+      val want = IntervalSet.fromIntervals(sets.flatMap(_.intervals))
+      IntervalSet.unionAll(sets) == want && IntervalSet.unionSize(sets) == want.size
     }
 }

@@ -117,6 +117,64 @@ class PartitionedStoreSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
+  /** Every version of `s` at once, tagged with its vid, against DuckDB. */
+  private def oracleEveryVersion(s: PartitionedStore, n: Int): Unit = {
+    val vids = 0 until n
+    Oracle.assertEquivalent(
+      vids.map(v => s.checkout(v).withColumn("vid", lit(v))).reduce(_ unionByName _)
+        .select(Seq("vid", "rid", "pk", "a1", "a2").map(c => col(c).cast("string") as c): _*),
+      vids.map(v => s"SELECT '$v' AS vid, * FROM (${expectedSql(v)}) v$v").mkString(" UNION ALL "),
+      "data" -> data, "membership" -> membership, "t15" -> edited, "t16" -> merged)
+  }
+
+  /** The checks every migration must pass: partition files, versioning
+    * rows in one file per partition, and every version's checkout.
+    */
+  private def assertMigrated(s: PartitionedStore): Unit = {
+    assertPartitionFiles(s, graph)
+    assertVersioning(s, graph, _ => 1)
+    oracleEveryVersion(s, graph.numVersions)
+  }
+
+  /** A store holding `graph` loaded under `scheme`. */
+  private def loaded(scheme: PartitionScheme): PartitionedStore = {
+    val s = new PartitionedStore(spark, Files.createTempDirectory("pstorem"))
+    s.load(data, graph, scheme)
+    s
+  }
+
+  /** Every file under the store's directory, by relative path, with its size. */
+  private def storeFiles(s: PartitionedStore): Map[String, Long] = {
+    val walk = Files.walk(s.dir)
+    try walk.iterator.asScala.filter(Files.isRegularFile(_))
+      .map(p => s.dir.relativize(p).toString -> Files.size(p)).toMap
+    finally walk.close()
+  }
+
+  /** The Parquet data file names of partition `pid`. */
+  private def dataFileNames(s: PartitionedStore, pid: Int): Set[String] = {
+    val listing = Files.list(s.dir.resolve(s"part-$pid").resolve("data"))
+    try listing.iterator.asScala.map(_.getFileName.toString).filter(_.endsWith(".parquet")).toSet
+    finally listing.close()
+  }
+
+  /** LyreSplit schemes of `graph` with 2 and 4 partitions. */
+  private lazy val (twoParts, fourParts) = {
+    val byCount = Seq(0.5, 0.6).map(d => LyreSplit.run(graph, d).scheme).groupBy(_.numPartitions)
+    (byCount(2).head, byCount(4).head)
+  }
+
+  /** The rows a migration following `plan` must write: every row of each
+    * partition it rebuilds, only the inserts of each partition whose mapped
+    * old partition it keeps whole, and one versioning row per version.
+    */
+  private def predictedRows(newScheme: PartitionScheme, plan: Migration.Plan): Long = {
+    val sizes = CostModel.partitionSizes(graph, newScheme)
+    plan.assignments.map { a =>
+      if (a.fromOldPid.isDefined && a.deleteRecords == 0) a.insertRecords else sizes(a.newPid)
+    }.sum + newScheme.numVersions
+  }
+
   /** Run `body` with Spark's default broadcast threshold, the one the
     * program's own session (`Jobs.session`) uses.
     */
@@ -173,8 +231,8 @@ class PartitionedStoreSpec extends AnyFunSuite with SparkSpec {
     val s = new PartitionedStore(spark, Files.createTempDirectory("pstore0"))
     val (_, load) = SparkJobs.count(spark)(s.load(data, graph))
     assert(load.shuffleWriteBytes == 0)
-    // The migration semi-joins each old partition with a driver-built rid
-    // set; the program's session broadcasts it, this suite's does not.
+    // The migration joins the old partitions with a driver-built relation
+    // of rids; the program's session broadcasts it, this suite's does not.
     val m = new PartitionedStore(spark, Files.createTempDirectory("pstorem"))
     m.load(data, graph, loadScheme)
     val target = LyreSplit.run(graph, 0.8).scheme
@@ -203,13 +261,76 @@ class PartitionedStoreSpec extends AnyFunSuite with SparkSpec {
     assert(committed.currentScheme == newScheme)
     assertPartitionFiles(committed, committedGraph)
     assertVersioning(committed, committedGraph, _ => 1)
-    // Every version at once, tagged with its vid.
-    val vids = 0 until committedGraph.numVersions
-    Oracle.assertEquivalent(
-      vids.map(v => committed.checkout(v).withColumn("vid", lit(v))).reduce(_ unionByName _)
-        .select(Seq("vid", "rid", "pk", "a1", "a2").map(c => col(c).cast("string") as c): _*),
-      vids.map(v => s"SELECT '$v' AS vid, * FROM (${expectedSql(v)}) v$v").mkString(" UNION ALL "),
-      "data" -> data, "membership" -> membership, "t15" -> edited, "t16" -> merged)
+    oracleEveryVersion(committed, committedGraph.numVersions)
+  }
+
+  test("migrations to schemes of different partition counts run the same jobs, at most 3") {
+    data.count()
+    val targets = Seq(0.8, 0.9).map(d => LyreSplit.run(graph, d).scheme)
+    assert(targets.map(_.numPartitions).distinct.length == 2)
+    val counts = targets.map { target =>
+      val s = loaded(loadScheme)
+      val plan = Migration.plan(graph, loadScheme, target)
+      assert(plan.assignments.exists(a => a.fromOldPid.isEmpty || a.deleteRecords > 0))
+      val (_, n) = withDefaultBroadcast(SparkJobs.count(spark)(s.migrate(target, plan)))
+      assertMigrated(s)
+      n
+    }
+    assert(counts.map(_.jobs).distinct.length == 1 && counts.head.jobs <= 3, counts)
+    assert(counts.forall(_.shuffleWriteBytes == 0), counts)
+  }
+
+  test("a 2→4→2 round trip writes the rows its plans predict and keeps insert-only files") {
+    val s = loaded(twoParts)
+    val up = Migration.plan(graph, twoParts, fourParts)
+    val down = Migration.plan(graph, fourParts, twoParts)
+    // Up rebuilds every partition; down keeps each mapped old partition whole.
+    assert(up.assignments.forall(a => a.fromOldPid.isEmpty || a.deleteRecords > 0))
+    assert(down.assignments.forall(a => a.fromOldPid.isDefined && a.deleteRecords == 0))
+    assert(down.assignments.exists(_.insertRecords > 0))
+    for ((target, plan) <- Seq(fourParts -> up, twoParts -> down)) {
+      val kept = plan.assignments.collect { case a if a.deleteRecords == 0 && a.fromOldPid.isDefined =>
+        a.newPid -> dataFileNames(s, a.fromOldPid.get)
+      }
+      val (_, n) = SparkJobs.count(spark)(s.migrate(target, plan))
+      assert(n.rowsWritten == predictedRows(target, plan))
+      for ((k, names) <- kept) assert(names.nonEmpty && names.subsetOf(dataFileNames(s, k)), s"partition $k files")
+      assert(s.currentScheme == target)
+      assertMigrated(s)
+    }
+  }
+
+  test("a chain of LyreSplit schemes keeps every partition's files, versioning and checkouts") {
+    val s = loaded(loadScheme)
+    val chain = Seq(0.7, 0.9, 0.5, 0.85).map(d => LyreSplit.run(graph, d).scheme)
+    assert(chain.map(_.numPartitions).distinct.length == chain.length)
+    for ((from, to) <- (loadScheme +: chain).zip(chain)) {
+      val plan = Migration.plan(graph, from, to)
+      val (_, n) = SparkJobs.count(spark)(s.migrate(to, plan))
+      assert(n.rowsWritten == predictedRows(to, plan))
+      assertMigrated(s)
+    }
+  }
+
+  test("a plan that does not fit the schemes is rejected, naming the partition, before any write") {
+    val s = loaded(loadScheme)
+    val before = storeFiles(s)
+    def plan(as: (Int, Option[Int])*) =
+      Migration.Plan(as.map { case (k, j) => Migration.Assignment(k, j, 0L, 0L) }.toVector)
+    val n = twoParts.numPartitions
+    val bad = Seq(
+      plan(0 -> Some(0)) -> "new partition 1 ",
+      plan(0 -> Some(0), 0 -> Some(1), 1 -> None) -> "new partition 0 ",
+      plan(0 -> Some(0), 1 -> Some(0), n -> None) -> s"new partition $n ",
+      plan(0 -> Some(loadScheme.numPartitions), 1 -> None) -> s"old partition ${loadScheme.numPartitions},",
+      plan(0 -> Some(1), 1 -> Some(1)) -> "old partition 1 ")
+    for ((p, names) <- bad) {
+      val e = intercept[IllegalArgumentException](s.migrate(twoParts, p))
+      assert(e.getMessage.contains(names), e.getMessage)
+      assert(s.currentScheme == loadScheme)
+      assert(storeFiles(s) == before)
+    }
+    oracleCheck(s.checkout(7), versionSql(7))
   }
 
   test("single-partition scheme equals unpartitioned storage footprint") {

@@ -107,6 +107,6 @@ class DeltaGraphSpec extends AnyFunSuite with SparkSpec {
     val (sets, counts) = SparkJobs.count(spark)(
       Membership.recordSets(VersioningBenchmark.membershipDF(spark, g)))
     assert(sets == g.versions.map(v => v.vid -> v.records).toMap)
-    assert(counts == SparkJobs.Counts(jobs = 1, shuffleWriteBytes = 0))
+    assert(counts.jobs == 1 && counts.shuffleWriteBytes == 0)
   }
 }
