@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import scala.collection.mutable
@@ -11,10 +11,52 @@ import scala.collection.mutable
   */
 object Membership {
 
-  /** One `rid` row per member of `s`, exploded from its intervals. */
-  def ridsDF(spark: SparkSession, s: IntervalSet): DataFrame = {
-    import spark.implicits._
-    s.intervals.toDF("s", "e").select(explode(expr("sequence(s, e)")) as "rid")
+  /** True on the rows whose `rid` is in `s`: the one way a store selects a
+    * record set's rows. `rid BETWEEN min AND max` bounds the set, and
+    * Parquet skips the row groups outside it; a UDF then binary-searches
+    * `s`'s intervals, held as two primitive arrays in its closure. It is
+    * one expression however many intervals `s` has, and it reads no
+    * relation of rids, so selecting the rows of a table is one scan with
+    * no join.
+    */
+  def within(s: IntervalSet): Column =
+    if (s.isEmpty) lit(false)
+    else {
+      val (starts, ends) = arrays(s)
+      val in = udf((rid: Long) => search(starts, ends, rid)).withName("within")
+      col("rid").between(starts.head, ends.last) && in(col("rid"))
+    }
+
+  /** The keys of the sets in `sets` that hold the row's `rid`, in the
+    * order of `sets`: `explode` it to route each row to every key whose set
+    * holds it, and to drop the rows in no set.
+    */
+  def route(sets: Seq[(Int, IntervalSet)]): Column = {
+    val keys = sets.map(_._1).toArray
+    val (starts, ends) = sets.map(kv => arrays(kv._2)).toArray.unzip
+    udf { (rid: Long) =>
+      val out = Array.newBuilder[Int]
+      for (i <- keys.indices) if (search(starts(i), ends(i), rid)) out += keys(i)
+      out.result()
+    }.withName("route")(col("rid"))
+  }
+
+  /** `s`'s interval starts and ends as two arrays. */
+  private def arrays(s: IntervalSet): (Array[Long], Array[Long]) =
+    (s.intervals.map(_._1).toArray, s.intervals.map(_._2).toArray)
+
+  /** Whether `x` is in one of the sorted, disjoint intervals
+    * `[starts(i), ends(i)]`: a binary search.
+    */
+  private def search(starts: Array[Long], ends: Array[Long], x: Long): Boolean = {
+    var lo = 0; var hi = starts.length - 1
+    while (lo <= hi) {
+      val mid = (lo + hi) >>> 1
+      if (x < starts(mid)) hi = mid - 1
+      else if (x > ends(mid)) lo = mid + 1
+      else return true
+    }
+    false
   }
 
   /** DataFrame of (vid, rid) membership pairs for the given record sets. */

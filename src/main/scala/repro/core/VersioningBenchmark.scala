@@ -132,7 +132,7 @@ object VersioningBenchmark {
     */
   def dataTableDF(spark: SparkSession, g: VersionGraph, nAttrs: Int = 10): DataFrame = {
     import spark.implicits._
-    val base = Membership.ridsDF(spark, g.allRecords)
+    val base = Membership(spark, Seq(0 -> g.allRecords)).select("rid")
     val attrs = (1 to nAttrs).map(i => (($"rid" * lit(2654435761L + i) + lit(i)) % 100000L) as s"a$i")
     base.select(($"rid" +: ($"rid" as "pk") +: attrs): _*)
   }

@@ -87,7 +87,7 @@ abstract class CvdStore(val spark: SparkSession, val dir: Path) {
     * records), with the checkout schema.
     */
   protected def rowsOf(vid: Int, rids: IntervalSet): DataFrame =
-    checkout(vid).join(Membership.ridsDF(spark, rids), Seq("rid"), "left_semi")
+    checkout(vid).where(Membership.within(rids))
 
   /** The record schema (rid, pk, a*), every field nullable, as the first
     * `load` or `commit` gave it.
@@ -175,11 +175,9 @@ abstract class CvdStore(val spark: SparkSession, val dir: Path) {
     */
   protected def appendVid(vlists: DataFrame, vid: Int, records: IntervalSet,
                           fresh: DataFrame): DataFrame = {
-    val in = Membership.ridsDF(spark, records).withColumn("__in", lit(true))
-    vlists.join(in, Seq("rid"), "left")
+    vlists
       .withColumn("vlist",
-        when(col("__in").isNotNull, concat(col("vlist"), array(lit(vid)))).otherwise(col("vlist")))
-      .drop("__in")
+        when(Membership.within(records), concat(col("vlist"), array(lit(vid)))).otherwise(col("vlist")))
       .unionByName(fresh.withColumn("vlist", array(lit(vid))))
   }
 

@@ -74,13 +74,11 @@ final class DeltaBased(spark: SparkSession, dir: Path) extends CvdStore(spark, d
     val base = closestParent(parents, c.records).getOrElse(-1)
     val baseSet = if (base >= 0) recordsOf(base) else IntervalSet.empty
     // Inserted full rows.
-    c.table.join(Membership.ridsDF(spark, c.records.diff(baseSet)), Seq("rid"))
+    c.table.where(Membership.within(c.records.diff(baseSet)))
       .withColumn("vid", lit(vid))
       .write.mode("append").partitionBy("vid").parquet(insDir)
     // Tombstoned rids.
-    Membership.ridsDF(spark, baseSet.diff(c.records))
-      .withColumn("vid", lit(vid))
-      .select("vid", "rid")
+    Membership(spark, Seq(vid -> baseSet.diff(c.records)))
       .write.mode("append").parquet(delDir)
     baseOf(vid) = base
   }

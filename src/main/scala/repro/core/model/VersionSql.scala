@@ -71,7 +71,7 @@ final class VersionSql(spark: SparkSession, store: PartitionedStore) {
     */
   def vDiff(a: Seq[Int], b: Seq[Int]): DataFrame = {
     val rids = a.map(store.records).reduce(_ intersect _).diff(IntervalSet.unionAll(b.map(store.records)))
-    store.data.join(Membership.ridsDF(spark, rids), Seq("rid"), "left_semi")
+    store.data.where(Membership.within(rids))
   }
 
   /** v_intersect: records present in all listed versions. */

@@ -14,9 +14,10 @@ import repro.core.model.CvdStore
   * Each partition `part-<pid>` holds a data table (rid, pk, a*) with
   * exactly the union of its member versions' records, and a versioning
   * table (vid, rlist ARRAY<BIGINT>) written from the driver's record sets
-  * by [[Membership.rlists]]. Checkout and diff read one partition:
-  * a checkout looks up the version's versioning row, unnests the rlist and
-  * hash-joins the partition's data table — the whole point of the
+  * by [[Membership.rlists]]. Checkout and diff read one partition's data
+  * table: the driver holds each version's rlist as its record set, so a
+  * checkout is one scan of that table filtered by [[Membership.within]],
+  * with no versioning lookup and no join — the whole point of the
   * partition optimizer is that this table holds |R_k| ≤ |R| rows.
   *
   * A commit joins the partition of the parent sharing the most records
@@ -59,32 +60,22 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
   }
 
   /** The rows of `rows`, which hold exactly the records `all`, whose rid is
-    * in `rids`: a semi-join, or `rows` itself when that is all of them.
-    * Skipping the semi-join saves its broadcast job: with it, generating and
-    * loading an unpartitioned 35K-record store took ~16% more CPU on a
-    * 4-core host.
+    * in `rids`: `rows` itself when that is all of them.
     */
   private def restrict(rows: DataFrame, all: IntervalSet, rids: IntervalSet): DataFrame =
-    if (rids == all) rows else rows.join(Membership.ridsDF(spark, rids), Seq("rid"), "left_semi")
+    if (rids == all) rows else rows.where(Membership.within(rids))
 
   /** The (vid, rlist) versioning table of the `members` versions. */
   private def writeVersioning(members: Seq[Int], path: String): Unit =
     Membership.rlists(spark, members.map(v => v -> recordsOf(v))).write.mode("overwrite").parquet(path)
 
-  override def checkout(vid: Int): DataFrame = {
-    val pid = scheme.pidOf(vid)
-    val rids = versioningOf(pid).where(col("vid") === vid).select(explode(col("rlist")) as "rid")
-    val df = dataOf(pid).join(rids, Seq("rid"))
-    df.select("rid", attrCols(df): _*)
-  }
+  override def checkout(vid: Int): DataFrame = rowsOf(vid, recordsOf(vid))
 
-  /** Reads the rows straight from the version's partition data table: no
-    * versioning lookup.
+  /** One scan of the version's partition data table, whose columns are the
+    * record schema's, rid first.
     */
-  override protected def rowsOf(vid: Int, rids: IntervalSet): DataFrame = {
-    val df = dataOf(scheme.pidOf(vid)).join(Membership.ridsDF(spark, rids), Seq("rid"), "left_semi")
-    df.select("rid", attrCols(df): _*)
-  }
+  override protected def rowsOf(vid: Int, rids: IntervalSet): DataFrame =
+    dataOf(scheme.pidOf(vid)).where(Membership.within(rids))
 
   override protected def write(vid: Int, parents: Seq[Int], c: CvdStore.Commit): Unit = {
     val pid = closestParent(parents, c.records).map(scheme.pidOf).getOrElse(0)
@@ -122,10 +113,11 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
     * each record still missing from the first old partition that holds it
     * (the inserts). A new partition whose mapped old partition holds none
     * of its deletes keeps that partition's data files, hard-linked, and
-    * takes only its inserts. All other takes are one Spark job: the
-    * contributing old partitions, tagged with their pid, join the exploded
-    * takes on (old pid, rid), and the rows are written partitioned by new
-    * pid. Every partition's versioning rows are one more job, so a
+    * takes only its inserts. All other takes are one Spark job: each
+    * contributing old partition's rows get the new pids of the takes that
+    * hold them, by [[Membership.route]] on the driver's takes, and the
+    * union of them is written partitioned by new pid, with no join.
+    * Every partition's versioning rows are one more job, so a
     * migration runs a fixed number of jobs whatever the partition count.
     * The new partitions are staged beside the old ones, which are deleted
     * only when every write has finished.
@@ -139,7 +131,7 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
     validate(newScheme, plan)
     val t0 = System.nanoTime()
     val old = scheme.versionsOf.map(partitionRecords)
-    val takes = Vector.newBuilder[(Int, Int, Long, Long)] // (old pid, new pid, s, e)
+    val takes = Vector.newBuilder[(Int, (Int, IntervalSet))] // (old pid, (new pid, rids))
     val reused = Vector.newBuilder[(Int, Int)]            // (old pid, new pid)
     for (a <- plan.assignments) {
       val target = partitionRecords(newScheme.versionsOf(a.newPid))
@@ -149,21 +141,17 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
       for (pid <- a.fromOldPid.toSeq ++ old.indices.filterNot(a.fromOldPid.contains)) {
         val take = missing.intersect(old(pid))
         missing = missing.diff(take)
-        for ((s, e) <- take.intervals) takes += ((pid, a.newPid, s, e))
+        if (!take.isEmpty) takes += pid -> (a.newPid -> take)
       }
     }
     val staging = dir.resolve("migrating")
     CvdStore.deleteRecursively(staging)
-    val ts = takes.result()
-    if (ts.nonEmpty) {
-      import spark.implicits._
-      val rids = ts.toDF("src", "pid", "s", "e")
-        .select(col("src"), col("pid"), explode(sequence(col("s"), col("e"))) as "rid")
-      ts.map(_._1).distinct.map(p => dataOf(p).withColumn("src", lit(p))).reduce(_ unionByName _)
-        .join(rids, Seq("src", "rid"))
-        .select((recordSchema.fieldNames :+ "pid").map(col).toSeq: _*)
+    val bySrc = takes.result().groupMap(_._1)(_._2)
+    if (bySrc.nonEmpty)
+      bySrc.toSeq.sortBy(_._1)
+        .map { case (src, ts) => dataOf(src).withColumn("pid", explode(Membership.route(ts))) }
+        .reduce(_ unionByName _)
         .write.partitionBy("pid").parquet(staging.resolve("data").toString)
-    }
     Membership.rlists(spark, (0 until newScheme.numVersions).map(v => v -> recordsOf(v)), newScheme.pidOf)
       .write.partitionBy("pid").parquet(staging.resolve("versioning").toString)
     for ((j, k) <- reused.result()) {

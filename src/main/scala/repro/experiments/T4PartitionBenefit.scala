@@ -1,9 +1,10 @@
 package repro.experiments
 
-import java.nio.file.Files
+import java.nio.file.{Files, Path}
 import org.apache.spark.sql.SparkSession
 import repro.core.{VersionGraph, VersioningBenchmark}
 import repro.core.partition._
+import scala.jdk.CollectionConverters._
 import scala.util.Random
 
 /** Table T4 — reproduces Fig 5.14/5.15: measured checkout time with and
@@ -16,15 +17,20 @@ object T4PartitionBenefit {
   final case class Row(dataset: String, config: String, checkoutSec: Double,
                        storageMB: Double, partitions: Int)
 
-  /** Drop the OS page cache (the paper's protocol: cache cleaned before
-    * each run). Needs root; silently skipped otherwise — warm-cache
-    * numbers then understate the benefit.
+  /** Evict the store's own Parquet files from the OS page cache (the
+    * paper's protocol: cache cleaned before each run), one
+    * `dd iflag=nocache count=0` per file, which is
+    * `posix_fadvise(POSIX_FADV_DONTNEED)` on the whole file. Nothing else
+    * on the host is evicted. Silently skipped where `dd` cannot run:
+    * warm-cache numbers then understate the benefit.
     */
-  private def dropPageCache(): Unit =
+  private def evictFromPageCache(dir: Path): Unit =
     try {
-      new ProcessBuilder("sh", "-c", "sync; echo 3 > /proc/sys/vm/drop_caches")
-        .start().waitFor()
-      ()
+      val files = Files.walk(dir)
+      try files.iterator.asScala.filter(_.toString.endsWith(".parquet")).foreach { f =>
+        new ProcessBuilder("dd", s"if=$f", "iflag=nocache", "count=0", "status=none")
+          .start().waitFor()
+      } finally files.close()
     } catch { case _: Exception => () }
 
   def run(spark: SparkSession, datasets: Seq[(String, VersionGraph)],
@@ -68,14 +74,15 @@ object T4PartitionBenefit {
         store.checkout(sample.head).count() // warm untimed
         (cfg, scheme, store)
       }
-      // Paper protocol: drop the OS page cache before each timed
-      // checkout so every run reads its partition from disk.
+      // Paper protocol: evict the store's files from the OS page cache
+      // before each timed checkout so every run reads its partition from
+      // disk.
       val best = scala.collection.mutable.Map.empty[String, Double]
       for (_ <- 0 until 2) {
         for ((cfg, _, store) <- stores) {
           var total = 0.0
           for (v <- sample) {
-            dropPageCache()
+            evictFromPageCache(store.dir)
             val (_, secs) = Tables.timed(store.checkout(v).count())
             total += secs
           }

@@ -2,6 +2,7 @@ package repro.lang
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions.{col, lit}
+import org.apache.spark.sql.types.{DecimalType, DoubleType, FloatType, IntegerType, LongType, ShortType, StringType}
 import Ast._
 
 /** VQuel evaluator (Chapter 6): executes a parsed query against a
@@ -12,6 +13,12 @@ import Ast._
   * to the backing DataFrames. Aggregates whose inner predicate is a
   * simple column-vs-literal condition are pushed down to Spark as
   * `df.where(...).agg(...)`; other aggregates fall back to collected rows.
+  * An enumerated tuple iterator's rows are collected through its top-level
+  * `where` conjuncts that Spark compares as the driver does, so only the
+  * rows that can satisfy the `where` reach the driver, which still checks
+  * the whole `where`. Predicates follow SQL's three-valued logic, as Spark
+  * and DuckDB do: a comparison with a NULL side is unknown, and a filter
+  * keeps only what is true.
   *
   * A `range` variable is *enumerated* (appears in the outer nested loop)
   * if it is referenced outside aggregate arguments or feeds another
@@ -78,9 +85,24 @@ object Evaluator {
       used.intersect(declared.keySet)
     }
 
-    // Cache collected tuple rows per (version, relation).
+    /** The top-level `where` conjuncts `E.attr op literal` of each
+      * enumerated tuple iterator E: a binding in which one of them is not
+      * true fails the whole `where`, so E's domain can leave those tuples out.
+      */
+    private val pushed: Map[String, List[Cmp]] = {
+      def conjuncts(p: Pred): List[Pred] = p match {
+        case And(l, r) => conjuncts(l) ++ conjuncts(r)
+        case other     => List(other)
+      }
+      q.where.toList.flatMap(conjuncts).collect {
+        case c @ Cmp(_, PathExpr(v, _ :: Nil), Lit(_))
+            if enumerated(v) && declared(v).steps.lastOption.contains(TuplesStep) => v -> c
+      }.groupMap(_._1)(_._2)
+    }
+
+    // Cache collected tuple rows per (version, relation, pushed conjuncts).
     private val tupleCache =
-      scala.collection.mutable.Map.empty[(String, String), Vector[Map[String, Any]]]
+      scala.collection.mutable.Map.empty[(String, String, List[Cmp]), Vector[Map[String, Any]]]
 
     // ---- domain evaluation ------------------------------------------------
 
@@ -88,7 +110,7 @@ object Evaluator {
       base match {
         case AllVersions(f) =>
           repo.versions.map(VersionVal)
-            .filter(v => f.forall(evalPred(_, Some(v), binding)))
+            .filter(v => f.forall(holds(_, Some(v), binding)))
         case VarBase(name) =>
           binding.get(name) match {
             case Some(v) => Vector(v)
@@ -98,23 +120,24 @@ object Evaluator {
           }
       }
 
-    def domainOf(name: String, binding: Binding): Vector[Value] =
+    /** The domain of iterator `name`; `filter` restricts a `Tuples` step. */
+    def domainOf(name: String, binding: Binding, filter: List[Cmp] = Nil): Vector[Value] =
       domain(declared.getOrElse(name,
-        throw new IllegalArgumentException(s"undeclared iterator '$name'")), binding)
+        throw new IllegalArgumentException(s"undeclared iterator '$name'")), binding, filter)
 
-    def domain(src: SourceExpr, binding: Binding): Vector[Value] =
+    def domain(src: SourceExpr, binding: Binding, filter: List[Cmp] = Nil): Vector[Value] =
       src.steps.foldLeft(baseValues(src.base, binding)) { (vals, step) =>
-        vals.flatMap(applyStep(_, step, binding))
+        vals.flatMap(applyStep(_, step, binding, filter))
       }
 
-    private def applyStep(v: Value, step: Step, binding: Binding): Vector[Value] =
+    private def applyStep(v: Value, step: Step, binding: Binding, filter: List[Cmp]): Vector[Value] =
       (v, step) match {
         case (VersionVal(ver), RelationsStep(f)) =>
           ver.relations.toVector.sortBy(_._1).map { case (n, df) =>
             RelationVal(ver, n, df)
-          }.filter(r => f.forall(evalPred(_, Some(r), binding)))
+          }.filter(r => f.forall(holds(_, Some(r), binding)))
         case (RelationVal(owner, name, df), TuplesStep) =>
-          tupleRows(owner.id, name, df).map(TupleVal(owner.id, name, _))
+          tupleRows(owner.id, name, df, filter).map(TupleVal(owner.id, name, _))
         case (VersionVal(ver), GraphStep(kind, hops)) =>
           val k = hops.getOrElse(Int.MaxValue)
           val vs = kind match {
@@ -127,13 +150,43 @@ object Evaluator {
           throw new IllegalArgumentException(s"cannot apply $step to ${other._1.getClass.getSimpleName}")
       }
 
-    private def tupleRows(vid: String, rel: String, df: DataFrame): Vector[Map[String, Any]] =
-      tupleCache.getOrElseUpdate((vid, rel), {
+    /** The rows of `df`, less those that fail a conjunct of `filter` that
+      * Spark can evaluate.
+      */
+    private def tupleRows(vid: String, rel: String, df: DataFrame,
+                          filter: List[Cmp]): Vector[Map[String, Any]] =
+      tupleCache.getOrElseUpdate((vid, rel, filter), {
         val cols = df.columns
-        df.collect().toVector.map(r => cols.zipWithIndex.map {
-          case (c, i) => c -> r.get(i)
-        }.toMap)
+        filter.flatMap(sparkCmp(df, _)).foldLeft(df)(_ where _)
+          .collect().toVector.map(r => cols.zipWithIndex.map {
+            case (c, i) => c -> r.get(i)
+          }.toMap)
       })
+
+    /** Conjunct `c` as a filter on `df`, when Spark's comparison agrees
+      * with [[compare]]'s: a numeric column against a number literal, both
+      * compared as `Double`, or a string column tested for (in)equality
+      * with a string literal. Any other pairing is left to the driver.
+      */
+    private def sparkCmp(df: DataFrame, c: Cmp): Option[Column] = c match {
+      case Cmp(op, PathExpr(_, a :: Nil), Lit(x)) if a != "all" =>
+        df.schema.find(_.name == a).map(_.dataType).collect {
+          case IntegerType | LongType | ShortType | FloatType | DoubleType | _: DecimalType
+              if x.isInstanceOf[Double] => sparkOp(op, col(a), lit(x))
+          case StringType if x.isInstanceOf[String] && (op == "=" || op == "!=") =>
+            sparkOp(op, col(a), lit(x))
+        }
+      case _ => None
+    }
+
+    private def sparkOp(op: String, c: Column, x: Column): Column = op match {
+      case "="  => c === x
+      case "!=" => c =!= x
+      case "<"  => c < x
+      case "<=" => c <= x
+      case ">"  => c > x
+      case ">=" => c >= x
+    }
 
     // ---- expression evaluation --------------------------------------------
 
@@ -208,7 +261,7 @@ object Evaluator {
           val dom = domain(effSrc, binding)
           val vals = dom.flatMap { v =>
             val b2 = bindSelf(effSrc, v, binding)
-            if (where.forall(evalPred(_, Some(v), b2)))
+            if (where.forall(holds(_, Some(v), b2)))
               Some(attrName.map(a => attr(v, List(a))).getOrElse(v))
             else None
           }
@@ -247,15 +300,7 @@ object Evaluator {
         case Not(x)    => toColumn(x).map(!_)
         case Cmp(op, PathExpr(v, a :: Nil), Lit(x))
             if aggVar.contains(v) || v.isEmpty =>
-          val c = col(a)
-          Some(op match {
-            case "="  => c === lit(x)
-            case "!=" => c =!= lit(x)
-            case "<"  => c < lit(x)
-            case "<=" => c <= lit(x)
-            case ">"  => c > lit(x)
-            case ">=" => c >= lit(x)
-          })
+          Some(sparkOp(op, col(a), lit(x)))
         case _ => None
       }
       val filterCol = where match {
@@ -295,35 +340,60 @@ object Evaluator {
       case other => throw new IllegalArgumentException(s"not numeric: $other")
     }
 
-    private def cmpAny(op: String, a: Any, b: Any): Boolean = {
-      val r: Int = (a, b) match {
-        case (null, null) => 0
-        case (null, _)    => -1
-        case (_, null)    => 1
-        case (x: String, y: String) => x.compareTo(y)
-        case (x: Map[_, _], y: Map[_, _]) => if (x == y) 0 else 1
-        case (x, y) =>
-          try java.lang.Double.compare(num(x), num(y))
-          catch { case _: Exception => x.toString.compareTo(y.toString) }
-      }
-      op match {
-        case "="  => r == 0
-        case "!=" => r != 0
-        case "<"  => r < 0
-        case "<=" => r <= 0
-        case ">"  => r > 0
-        case ">=" => r >= 0
-      }
+    /** The order of two values, NULL first: `sort by`'s order, and the
+      * order of two non-NULL values in a comparison.
+      */
+    private def compare(a: Any, b: Any): Int = (a, b) match {
+      case (null, null) => 0
+      case (null, _)    => -1
+      case (_, null)    => 1
+      case (x: String, y: String) => x.compareTo(y)
+      case (x: Map[_, _], y: Map[_, _]) => if (x == y) 0 else 1
+      case (x, y) =>
+        try java.lang.Double.compare(num(x), num(y))
+        catch { case _: Exception => x.toString.compareTo(y.toString) }
     }
 
-    private def evalPred(p: Pred, self: Option[Value], binding: Binding): Boolean =
+    /** `p` under SQL's three-valued logic: `None` is unknown. A comparison
+      * with a NULL side is unknown; `and`/`or` evaluate their right side
+      * only when the left does not decide them.
+      */
+    private def evalPred(p: Pred, self: Option[Value], binding: Binding): Option[Boolean] =
       p match {
         case Cmp(op, l, r) =>
-          cmpAny(op, evalExpr(l, self, binding), evalExpr(r, self, binding))
-        case And(l, r) => evalPred(l, self, binding) && evalPred(r, self, binding)
-        case Or(l, r)  => evalPred(l, self, binding) || evalPred(r, self, binding)
-        case Not(x)    => !evalPred(x, self, binding)
+          (evalExpr(l, self, binding), evalExpr(r, self, binding)) match {
+            case (null, _) | (_, null) => None
+            case (a, b) =>
+              val c = compare(a, b)
+              Some(op match {
+                case "="  => c == 0
+                case "!=" => c != 0
+                case "<"  => c < 0
+                case "<=" => c <= 0
+                case ">"  => c > 0
+                case ">=" => c >= 0
+              })
+          }
+        case And(l, r) => evalPred(l, self, binding) match {
+          case f @ Some(false) => f
+          case x => evalPred(r, self, binding) match {
+            case f @ Some(false) => f
+            case y => if (x.isEmpty || y.isEmpty) None else y
+          }
+        }
+        case Or(l, r) => evalPred(l, self, binding) match {
+          case t @ Some(true) => t
+          case x => evalPred(r, self, binding) match {
+            case t @ Some(true) => t
+            case y => if (x.isEmpty || y.isEmpty) None else y
+          }
+        }
+        case Not(x) => evalPred(x, self, binding).map(!_)
       }
+
+    /** Whether `p` is true: a filter keeps a value only then. */
+    private def holds(p: Pred, self: Option[Value], binding: Binding): Boolean =
+      evalPred(p, self, binding).contains(true)
 
     // ---- main loop --------------------------------------------------------
 
@@ -336,7 +406,7 @@ object Evaluator {
       val sortKeys = Vector.newBuilder[Vector[Any]]
       def loop(vars: List[String], binding: Binding): Unit = vars match {
         case Nil =>
-          if (q.where.forall(evalPred(_, None, binding))) {
+          if (q.where.forall(holds(_, None, binding))) {
             rows += q.targets.toVector.map { case (_, e) =>
               evalExpr(e, None, binding) match {
                 case m: Map[_, _] => m.toSeq.sortBy(_._1.toString).toString
@@ -346,7 +416,8 @@ object Evaluator {
             sortKeys += q.sortBy.toVector.map(k => evalExpr(k.path, None, binding))
           }
         case v :: rest =>
-          for (value <- domainOf(v, binding)) loop(rest, binding + (v -> value))
+          for (value <- domainOf(v, binding, pushed.getOrElse(v, Nil)))
+            loop(rest, binding + (v -> value))
       }
       loop(loopVars, Map.empty)
 
@@ -356,10 +427,7 @@ object Evaluator {
         val idx = out.indices.sortWith { (i, j) =>
           val ki = keys(i); val kj = keys(j)
           val c = ki.zip(kj).zip(q.sortBy).iterator.map { case ((a, b), sk) =>
-            val r =
-              if (cmpAny("=", a, b)) 0
-              else if (cmpAny("<", a, b)) -1
-              else 1
+            val r = compare(a, b).sign
             if (sk.ascending) r else -r
           }.find(_ != 0).getOrElse(0)
           c < 0

@@ -2,6 +2,9 @@ package repro.core.partition
 
 import java.nio.file.Files
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.SparkPlan
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.BroadcastExchangeExec
 import org.apache.spark.sql.functions._
 import org.scalatest.funsuite.AnyFunSuite
 import scala.jdk.CollectionConverters._
@@ -185,6 +188,10 @@ class PartitionedStoreSpec extends AnyFunSuite with SparkSpec {
     try body finally spark.conf.set(key, was)
   }
 
+  /** The broadcast exchanges of `plan`, adaptive query stages included. */
+  private def broadcasts(plan: SparkPlan): Seq[SparkPlan] =
+    new AdaptiveSparkPlanHelper {}.collect(plan) { case b: BroadcastExchangeExec => b }
+
   for (vid <- Seq(0, 7, 14)) {
     test(s"partitioned checkout of v$vid matches DuckDB") { oracleCheckout(vid) }
   }
@@ -220,6 +227,25 @@ class PartitionedStoreSpec extends AnyFunSuite with SparkSpec {
     assert(n.jobs == 0)
   }
 
+  test("a partitioned checkout's collect runs one Spark job and broadcasts nothing") {
+    val s = store
+    withDefaultBroadcast {
+      val df = s.checkout(7)
+      val (rows, n) = SparkJobs.count(spark)(df.collect())
+      assert(n.jobs == 1 && n.shuffleWriteBytes == 0, n)
+      assert(rows.length == graph.versions(7).records.size)
+      assert(broadcasts(df.queryExecution.executedPlan).isEmpty, df.queryExecution.executedPlan)
+    }
+    oracleCheckout(7)
+  }
+
+  test("a partitioned diff's collect runs one Spark job") {
+    val s = store
+    val (rows, n) = SparkJobs.count(spark)(s.diffVersions(14, 7).collect())
+    assert(n.jobs == 1 && n.shuffleWriteBytes == 0, n)
+    assert(rows.length == graph.versions(14).records.diff(graph.versions(7).records).size)
+  }
+
   test("versioning rows are each version's records in ascending order, one file per write") {
     assertVersioning(store, graph, _ => 1)
     val home = Seq(15, 16).map(committed.currentScheme.pidOf)
@@ -231,14 +257,15 @@ class PartitionedStoreSpec extends AnyFunSuite with SparkSpec {
     val s = new PartitionedStore(spark, Files.createTempDirectory("pstore0"))
     val (_, load) = SparkJobs.count(spark)(s.load(data, graph))
     assert(load.shuffleWriteBytes == 0)
-    // The migration joins the old partitions with a driver-built relation
-    // of rids; the program's session broadcasts it, this suite's does not.
+    // The migration routes each old partition's rows to their new
+    // partitions with no join, so it shuffles nothing even though this
+    // suite's session never broadcasts.
     val m = new PartitionedStore(spark, Files.createTempDirectory("pstorem"))
     m.load(data, graph, loadScheme)
     val target = LyreSplit.run(graph, 0.8).scheme
     assert(target != loadScheme)
-    val (_, migrate) = withDefaultBroadcast(SparkJobs.count(spark)(
-      m.migrate(target, Migration.plan(graph, loadScheme, target))))
+    val (_, migrate) = SparkJobs.count(spark)(
+      m.migrate(target, Migration.plan(graph, loadScheme, target)))
     assert(migrate.shuffleWriteBytes == 0)
     assertVersioning(m, graph, _ => 1)
     oracleCheck(m.checkout(9), versionSql(9))
@@ -264,7 +291,7 @@ class PartitionedStoreSpec extends AnyFunSuite with SparkSpec {
     oracleEveryVersion(committed, committedGraph.numVersions)
   }
 
-  test("migrations to schemes of different partition counts run the same jobs, at most 3") {
+  test("migrations to schemes of different partition counts run the same jobs, at most 2") {
     data.count()
     val targets = Seq(0.8, 0.9).map(d => LyreSplit.run(graph, d).scheme)
     assert(targets.map(_.numPartitions).distinct.length == 2)
@@ -272,11 +299,11 @@ class PartitionedStoreSpec extends AnyFunSuite with SparkSpec {
       val s = loaded(loadScheme)
       val plan = Migration.plan(graph, loadScheme, target)
       assert(plan.assignments.exists(a => a.fromOldPid.isEmpty || a.deleteRecords > 0))
-      val (_, n) = withDefaultBroadcast(SparkJobs.count(spark)(s.migrate(target, plan)))
+      val (_, n) = SparkJobs.count(spark)(s.migrate(target, plan))
       assertMigrated(s)
       n
     }
-    assert(counts.map(_.jobs).distinct.length == 1 && counts.head.jobs <= 3, counts)
+    assert(counts.map(_.jobs).distinct.length == 1 && counts.head.jobs <= 2, counts)
     assert(counts.forall(_.shuffleWriteBytes == 0), counts)
   }
 

@@ -1,8 +1,9 @@
 package repro.lang
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, udf}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
 
 /** Executes the thesis's example queries (§6.3) against the Fig 6.1-style
   * repository: versions v01 → {v02, v03} with Employee/Department
@@ -187,5 +188,90 @@ class EvaluatorSpec extends AnyFunSuite with SparkSpec {
         |range of E is V.Relations(name = ||Employee||).Tuples
         |retrieve count(E.employee_id where E.age > 50)""".stripMargin)
     assert(r.rows == Vector(Vector(direct)))
+  }
+
+  /** One version holding relation T (pk, a) in which one `a` is NULL. */
+  private lazy val nullRepo: (Repository, DataFrame) = {
+    import spark.implicits._
+    val t = Seq((1L, Some(5L)), (2L, None), (3L, Some(7L)), (4L, Some(5L))).toDF("pk", "a")
+    (Repository(Vector(VersionMeta("v1", "nulls", 1, "Alice", Vector.empty, Map("T" -> t)))), t)
+  }
+
+  /** DuckDB's answer over T with its columns typed back to BIGINT. */
+  private def duck(df: DataFrame, select: String, where: String): Unit =
+    Oracle.assertEquivalent(df,
+      s"SELECT $select FROM (SELECT CAST(pk AS BIGINT) pk, CAST(a AS BIGINT) a FROM t) WHERE $where",
+      "t" -> nullRepo._2)
+
+  // (VQuel predicate over E, the same predicate in SQL)
+  private val nullPreds = Seq(
+    "E.a != 5" -> "a != 5",
+    "E.a < 6" -> "a < 6",
+    "not (E.a = 5)" -> "NOT (a = 5)",
+    "E.a = 5 or E.pk = 2" -> "a = 5 OR pk = 2",
+    "not (E.a = 5 and E.pk = 2)" -> "NOT (a = 5 AND pk = 2)")
+
+  test("an aggregate's NULL comparisons agree pushed down and on the driver, as in DuckDB") {
+    import spark.implicits._
+    for ((p, sql) <- nullPreds) {
+      // `E.pk = E.pk` is no column-vs-literal test, so it keeps the
+      // aggregate on the driver.
+      val counts = Seq(p, s"($p) and E.pk = E.pk").map { w =>
+        Evaluator.run(nullRepo._1,
+          s"""range of V is Version
+             |range of E is V.Relations(name = ||T||).Tuples
+             |retrieve count(E.pk where $w)""".stripMargin).rows.head.head.asInstanceOf[Long]
+      }
+      assert(counts.distinct.length == 1, s"$p: pushed ${counts(0)}, driver ${counts(1)}")
+      duck(Seq(counts.head).toDF("n"), "count(pk) AS n", sql)
+    }
+  }
+
+  test("a tuple iterator's NULL comparisons agree with DuckDB, pushed into its collect or not") {
+    import spark.implicits._
+    for ((p, sql) <- nullPreds) {
+      val r = Evaluator.run(nullRepo._1,
+        s"""range of V is Version
+           |range of E is V.Relations(name = ||T||).Tuples
+           |retrieve E.pk
+           |where $p""".stripMargin)
+      duck(r.rows.map(_.head.asInstanceOf[Long]).toDF("pk"), "pk", sql)
+    }
+  }
+
+  test("sort by puts NULLs first") {
+    val r = Evaluator.run(nullRepo._1,
+      """range of V is Version
+        |range of E is V.Relations(name = ||T||).Tuples
+        |retrieve E.pk
+        |sort by E.a""".stripMargin)
+    assert(r.rows.map(_.head) == Vector(2L, 1L, 4L, 3L))
+  }
+
+  test("a tuple iterator collects only the rows its column-vs-literal conjuncts select") {
+    import spark.implicits._
+    val read = spark.sparkContext.longAccumulator("rows read")
+    // x is computed above the pushed filter, so only the rows kept reach it.
+    val seen = udf { (pk: Long) => read.add(1); pk }
+    val t = spark.range(0, 40).select(col("id") as "pk", (col("id") % 4).cast("int") as "g",
+      col("id").cast("string") as "s")
+    val rel = t.withColumn("x", seen(col("pk")))
+    val repo = Repository(Vector(VersionMeta("v1", "wide", 1, "Alice", Vector.empty, Map("T" -> rel))))
+    def run(where: String): Vector[Long] = Evaluator.run(repo,
+      s"""range of V is Version
+         |range of R is V.Relations
+         |range of E is R.Tuples
+         |retrieve E.pk
+         |where R.name = ||T|| and $where""".stripMargin).rows.map(_.head.asInstanceOf[Long])
+    read.reset()
+    val got = run("E.g = 1 and E.pk >= 20 and E.s != ||33||")
+    assert(read.value == 4, "only the rows of g = 1 and pk >= 20 but not 33 are read")
+    Oracle.assertEquivalent(got.toDF("pk"),
+      "SELECT CAST(pk AS BIGINT) AS pk FROM t WHERE CAST(g AS INT) = 1 AND CAST(pk AS BIGINT) >= 20 AND s != '33'",
+      "t" -> t)
+    // A string literal against a numeric column is left to the driver,
+    // which compares the two as numbers.
+    read.reset()
+    assert(run("E.pk = ||7||") == Vector(7L) && read.value == 40)
   }
 }
