@@ -13,6 +13,7 @@ object Jobs {
       .appName(name)
       .config("spark.sql.shuffle.partitions",
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.hadoop.fs.file.impl", classOf[repro.core.LocalFs].getName)
       .getOrCreate()
 
   /** Optional scale multiplier from args, default 1.0 (≈60K records). */

@@ -17,9 +17,6 @@ final class IntervalSet private (private[core] val ivs: Vector[(Long, Long)]) {
   /** Number of rids in the set. */
   lazy val size: Long = ivs.iterator.map { case (s, e) => e - s + 1 }.sum
 
-  /** Number of stored intervals (compactness measure). */
-  def numIntervals: Int = ivs.length
-
   def isEmpty: Boolean = ivs.isEmpty
 
   /** The intervals, sorted ascending. */
@@ -86,10 +83,6 @@ final class IntervalSet private (private[core] val ivs: Vector[(Long, Long)]) {
     }
     new IntervalSet(out.toVector)
   }
-
-  /** Symmetric difference size `|this Δ that|` (Chapter-7 undirected delta cost). */
-  def symmetricDiffSize(that: IntervalSet): Long =
-    size + that.size - 2 * intersectSize(that)
 
   /** The rid at 0-based rank `k` in sorted order (for sampling). */
   def atRank(k: Long): Long = {

@@ -1,13 +1,25 @@
 package repro.core
 
+import java.io.IOException
+import java.util.UUID
+import org.apache.hadoop.conf.Configuration
+import org.apache.hadoop.fs.Path
+import org.apache.parquet.hadoop.ParquetWriter
+import org.apache.parquet.hadoop.api.WriteSupport
+import org.apache.parquet.hadoop.metadata.CompressionCodecName
+import org.apache.parquet.hadoop.util.HadoopOutputFile
+import org.apache.parquet.io.OutputFile
+import org.apache.parquet.io.api.RecordConsumer
+import org.apache.parquet.schema.{MessageType, MessageTypeParser}
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import scala.collection.mutable
 
 /** The version-record bipartite graph E as Spark relations: the one path
-  * from driver-side [[IntervalSet]]s to DataFrames, its inverse, and the
-  * one version-overlap computation.
+  * from driver-side [[IntervalSet]]s to DataFrames, its inverse, the one
+  * version-overlap computation, and the driver's writer of versioning
+  * tables.
   */
 object Membership {
 
@@ -75,24 +87,74 @@ object Membership {
   val VersioningSchema: StructType = StructType(Seq(
     StructField("vid", IntegerType), StructField("rlist", ArrayType(LongType))))
 
-  /** One (vid, rlist) versioning row per version, its rlist the version's
-    * rids in ascending order: one versioning table.
+  /** Write one (vid, rlist) versioning row per set of `sets`, in their
+    * order, its rlist the set's rids in ascending order: one Parquet file
+    * added to the table at `dir`. The driver streams the intervals into the
+    * file through parquet-hadoop, with Spark's own layout for
+    * [[VersioningSchema]], so no Spark job runs. The file is written under
+    * a hidden name, which readers skip, and renamed into place when it is
+    * complete, so a write that fails leaves no visible file.
     */
-  def rlists(spark: SparkSession, sets: Seq[(Int, IntervalSet)]): DataFrame =
-    rlists(spark, sets, _ => 0).drop("pid")
+  def writeRlists(spark: SparkSession, dir: String, sets: Seq[(Int, IntervalSet)]): Unit = {
+    val conf = spark.sparkContext.hadoopConfiguration
+    val name = s"part-00000-${UUID.randomUUID}-c000.snappy.parquet"
+    val (tmp, file) = (new Path(dir, s".$name.tmp"), new Path(dir, name))
+    val fs = file.getFileSystem(conf)
+    try {
+      val out = new RlistWriter(HadoopOutputFile.fromPath(tmp, conf))
+        .withConf(conf).withCompressionCodec(CompressionCodecName.SNAPPY).build()
+      try sets.foreach(out.write) finally out.close()
+      if (!fs.rename(tmp, file)) throw new IOException(s"could not rename $tmp to $file")
+    } catch { case e: Throwable => fs.delete(tmp, false); throw e }
+  }
 
-  /** The (pid, vid, rlist) rows of several versioning tables: version
-    * `vid`'s row belongs in partition `pidOf(vid)`'s table. The rows are
-    * built from a local relation of the intervals, so no rid crosses a
-    * shuffle, and sit in one Spark partition: a write of them makes one
-    * file, or one per pid when it is partitioned by `pid`.
+  /** Parquet's message type for [[VersioningSchema]], as Spark writes it. */
+  private[core] val RlistMessage: MessageType = MessageTypeParser.parseMessageType(
+    """message spark_schema {
+      |  optional int32 vid;
+      |  optional group rlist (LIST) { repeated group list { optional int64 element; } }
+      |}""".stripMargin)
+
+  /** Builds the `ParquetWriter` of (vid, set) rows to `file`. */
+  private final class RlistWriter(file: OutputFile)
+      extends ParquetWriter.Builder[(Int, IntervalSet), RlistWriter](file) {
+    override protected def self(): RlistWriter = this
+    override protected def getWriteSupport(conf: Configuration): WriteSupport[(Int, IntervalSet)] =
+      new RlistWriteSupport
+  }
+
+  /** Writes a (vid, set) pair as a [[RlistMessage]] record, the set's rids
+    * in ascending order. The footer carries the Spark schema, as in a file
+    * Spark writes.
     */
-  def rlists(spark: SparkSession, sets: Seq[(Int, IntervalSet)], pidOf: Int => Int): DataFrame = {
-    import spark.implicits._
-    sets.map { case (vid, s) => (pidOf(vid), vid, s.intervals) }.toDF("pid", "vid", "ivs")
-      .select(col("pid"), col("vid"),
-        flatten(transform(col("ivs"), iv => sequence(iv("_1"), iv("_2")))) as "rlist")
-      .coalesce(1)
+  private final class RlistWriteSupport extends WriteSupport[(Int, IntervalSet)] {
+    private var out: RecordConsumer = _
+
+    override def init(conf: Configuration): WriteSupport.WriteContext = new WriteSupport.WriteContext(
+      RlistMessage, java.util.Map.of("org.apache.spark.sql.parquet.row.metadata", VersioningSchema.json))
+
+    override def prepareForWrite(c: RecordConsumer): Unit = out = c
+
+    override def write(row: (Int, IntervalSet)): Unit = {
+      val (vid, s) = row
+      out.startMessage()
+      out.startField("vid", 0); out.addInteger(vid); out.endField("vid", 0)
+      out.startField("rlist", 1); out.startGroup()
+      if (!s.isEmpty) {
+        out.startField("list", 0)
+        for ((a, b) <- s.intervals) {
+          var r = a
+          while (r <= b) {
+            out.startGroup(); out.startField("element", 0); out.addLong(r); out.endField("element", 0)
+            out.endGroup()
+            r += 1
+          }
+        }
+        out.endField("list", 0)
+      }
+      out.endGroup(); out.endField("rlist", 1)
+      out.endMessage()
+    }
   }
 
   /** Each version's record set from a (vid, rid) membership relation:

@@ -13,12 +13,13 @@ import repro.core.model.CvdStore
   *
   * Each partition `part-<pid>` holds a data table (rid, pk, a*) with
   * exactly the union of its member versions' records, and a versioning
-  * table (vid, rlist ARRAY<BIGINT>) written from the driver's record sets
-  * by [[Membership.rlists]]. Checkout and diff read one partition's data
-  * table: the driver holds each version's rlist as its record set, so a
-  * checkout is one scan of that table filtered by [[Membership.within]],
-  * with no versioning lookup and no join — the whole point of the
-  * partition optimizer is that this table holds |R_k| ≤ |R| rows.
+  * table (vid, rlist ARRAY<BIGINT>) that the driver writes from its record
+  * sets by [[Membership.writeRlists]], with no Spark job. Checkout and diff
+  * read one partition's data table: the driver holds each version's rlist
+  * as its record set, so a checkout is one scan of that table filtered by
+  * [[Membership.within]], with no versioning lookup and no join — the
+  * whole point of the partition optimizer is that this table holds
+  * |R_k| ≤ |R| rows.
   *
   * A commit joins the partition of the parent sharing the most records
   * with it and appends one versioning row plus the net-new records — and,
@@ -55,6 +56,7 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
       val members = s.versionsOf(pid)
       restrict(data, g.allRecords, partitionRecords(members))
         .write.mode("overwrite").parquet(tablePath(pid, "data"))
+      CvdStore.deleteRecursively(partDir(pid).resolve("versioning"))
       writeVersioning(members, tablePath(pid, "versioning"))
     }
   }
@@ -65,9 +67,11 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
   private def restrict(rows: DataFrame, all: IntervalSet, rids: IntervalSet): DataFrame =
     if (rids == all) rows else rows.where(Membership.within(rids))
 
-  /** The (vid, rlist) versioning table of the `members` versions. */
+  /** Add the (vid, rlist) rows of the `members` versions to the versioning
+    * table at `path`, as one file.
+    */
   private def writeVersioning(members: Seq[Int], path: String): Unit =
-    Membership.rlists(spark, members.map(v => v -> recordsOf(v))).write.mode("overwrite").parquet(path)
+    Membership.writeRlists(spark, path, members.map(v => v -> recordsOf(v)))
 
   override def checkout(vid: Int): DataFrame = rowsOf(vid, recordsOf(vid))
 
@@ -79,7 +83,7 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
 
   override protected def write(vid: Int, parents: Seq[Int], c: CvdStore.Commit): Unit = {
     val pid = closestParent(parents, c.records).map(scheme.pidOf).getOrElse(0)
-    Membership.rlists(spark, Seq(vid -> c.records)).write.mode("append").parquet(tablePath(pid, "versioning"))
+    Membership.writeRlists(spark, tablePath(pid, "versioning"), Seq(vid -> c.records))
     c.fresh.write.mode("append").parquet(tablePath(pid, "data"))
     val inherited = c.records.intersect(IntervalSet.unionAll(parents.map(recordsOf)))
     val lacking = inherited.diff(scheme.versionsOf.lift(pid).fold(IntervalSet.empty)(partitionRecords))
@@ -87,10 +91,6 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
       restrict(c.table, c.records, lacking).write.mode("append").parquet(tablePath(pid, "data"))
     scheme = PartitionScheme(scheme.assignment :+ pid)
   }
-
-  /** Per-partition on-disk sizes in bytes. */
-  def partitionBytes: Vector[Long] =
-    (0 until scheme.numPartitions).toVector.map(p => CvdStore.du(partDir(p)))
 
   /** The deduplicated data table (rid, pk, a*): the partitions' union
     * (the table [[repro.core.model.VersionSql]] queries).
@@ -116,9 +116,9 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
     * takes only its inserts. All other takes are one Spark job: each
     * contributing old partition's rows get the new pids of the takes that
     * hold them, by [[Membership.route]] on the driver's takes, and the
-    * union of them is written partitioned by new pid, with no join.
-    * Every partition's versioning rows are one more job, so a
-    * migration runs a fixed number of jobs whatever the partition count.
+    * union of them is written partitioned by new pid, with no join. The
+    * driver writes each new partition's versioning rows itself, so a
+    * migration runs at most one Spark job whatever the partition count.
     * The new partitions are staged beside the old ones, which are deleted
     * only when every write has finished.
     *
@@ -152,8 +152,8 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
         .map { case (src, ts) => dataOf(src).withColumn("pid", explode(Membership.route(ts))) }
         .reduce(_ unionByName _)
         .write.partitionBy("pid").parquet(staging.resolve("data").toString)
-    Membership.rlists(spark, (0 until newScheme.numVersions).map(v => v -> recordsOf(v)), newScheme.pidOf)
-      .write.partitionBy("pid").parquet(staging.resolve("versioning").toString)
+    for (k <- 0 until newScheme.numPartitions)
+      writeVersioning(newScheme.versionsOf(k), staging.resolve("versioning").resolve(s"pid=$k").toString)
     for ((j, k) <- reused.result()) {
       val to = Files.createDirectories(staging.resolve("data").resolve(s"pid=$k"))
       val files = Files.list(partDir(j).resolve("data"))

@@ -25,6 +25,7 @@ object SparkSpec {
       .appName("repro")
       .config("spark.sql.shuffle.partitions",
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.hadoop.fs.file.impl", classOf[repro.core.LocalFs].getName)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     // One line in test output that tells the driver whether the cgroup

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalacheck.{Arbitrary, Gen, Prop, Properties}
 import org.scalacheck.Prop.forAll
+import repro.core.IntervalSetMeasures._
 
 /** ScalaCheck property suite for IntervalSet: the set-algebra laws the
   * partitioners and the delta graph rely on, over arbitrary inputs.

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
+import repro.core.IntervalSetMeasures._
 
 /** IntervalSet is the substrate every driver-side algorithm builds on —
   * verify its set algebra exhaustively against scala.collection.Set.

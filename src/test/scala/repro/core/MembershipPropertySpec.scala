@@ -1,5 +1,6 @@
 package repro.core
 
+import java.nio.file.Files
 import org.apache.spark.sql.functions.col
 import org.scalacheck.{Gen, Prop, Properties}
 import org.scalacheck.Prop.forAll
@@ -10,6 +11,8 @@ import repro.SparkSpec
   * `s.contains`, and `Membership.route` gives each rid exactly the keys
   * of the sets holding it. Every sample runs one Spark job over the rids
   * -3 to 79, so the domain covers each set's ends and one rid past them.
+  * The versioning rows `Membership.writeRlists` writes read back as the
+  * sets they were written from.
   */
 object MembershipPropertySpec extends Properties("Membership") {
 
@@ -53,5 +56,17 @@ object MembershipPropertySpec extends Properties("Membership") {
         .map(r => r.getLong(0) -> r.getSeq[Int](1)).toMap
       Prop(domain.forall(r => got(r) == keyed.collect { case (k, s) if s.contains(r) => k })) :|
         s"sets $keyed"
+    }
+
+  property("writeRlists rows read back as each set's rids in ascending order") =
+    forAll(Gen.choose(0, 4).flatMap(n => Gen.listOfN(n, genSet))) { sets =>
+      val keyed = sets.zipWithIndex.map { case (s, i) => (7 * i + 3) -> s }
+      val dir = Files.createTempDirectory("rlists").resolve("versioning").toString
+      Membership.writeRlists(spark, dir, keyed)
+      val got = spark.read.schema(Membership.VersioningSchema).parquet(dir).collect()
+        .map(r => r.getInt(0) -> r.getSeq[Long](1)).toSeq
+      val inferred = spark.read.parquet(dir).schema
+      (Prop(got == keyed.map { case (v, s) => v -> s.toSeq }) :| s"sets $keyed: got $got") &&
+        (Prop(inferred == Membership.VersioningSchema) :| s"inferred $inferred")
     }
 }
