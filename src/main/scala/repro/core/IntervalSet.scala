@@ -36,8 +36,7 @@ final class IntervalSet private (private[core] val ivs: Vector[(Long, Long)]) {
   }
 
   /** Set union. O(|this| + |that|) in interval count. */
-  def union(that: IntervalSet): IntervalSet =
-    IntervalSet.fromIntervals(ivs ++ that.ivs)
+  def union(that: IntervalSet): IntervalSet = IntervalSet.unionAll(Seq(this, that))
 
   /** Set intersection. */
   def intersect(that: IntervalSet): IntervalSet = {

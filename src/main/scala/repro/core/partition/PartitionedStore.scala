@@ -36,7 +36,6 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
   private def partDir(pid: Int) = dir.resolve(s"part-$pid")
   private def tablePath(pid: Int, table: String) = partDir(pid).resolve(table).toString
   private def dataOf(pid: Int) = read(tablePath(pid, "data"), recordSchema)
-  private def versioningOf(pid: Int) = read(tablePath(pid, "versioning"), Membership.VersioningSchema)
 
   def currentScheme: PartitionScheme = scheme
 
@@ -98,10 +97,15 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
   def data: DataFrame =
     (0 until scheme.numPartitions).map(dataOf).reduce(_ unionByName _).dropDuplicates("rid")
 
-  /** Every version's rows tagged with its vid: (vid, rid, pk, a*). */
+  /** Every version's rows tagged with its vid: (vid, rid, pk, a*). Each
+    * partition's data rows are routed to its member versions' record sets
+    * by [[Membership.route]], so no versioning table is read and nothing
+    * is joined.
+    */
   def withVid(): DataFrame =
     (0 until scheme.numPartitions).map { pid =>
-      versioningOf(pid).select(col("vid"), explode(col("rlist")) as "rid").join(dataOf(pid), Seq("rid"))
+      val members = scheme.versionsOf(pid).map(v => v -> recordsOf(v))
+      dataOf(pid).select(explode(Membership.route(members)) as "vid", col("*"))
     }.reduce(_ unionByName _)
 
   /** Execute a migration to `newScheme` following `plan`; returns wall

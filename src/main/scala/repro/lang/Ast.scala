@@ -6,8 +6,9 @@ package repro.lang
   * <targets> [where <pred>] [sort by <attr> [asc|desc]]`; path sources
   * over `Version`, `.Relations(...)`, `.Tuples`, graph traversal
   * `P(k)/D(k)/N(k)`; predicates with and/or/not and comparison operators;
-  * aggregates count/sum/min/max/avg with an inner `where`; `abs()` and
-  * +,- arithmetic.
+  * aggregates with an inner `where`: `count` (tuples, NULL attribute or
+  * not) and `sum`/`min`/`max`/`avg` (NULLs skipped, NULL over no value, as
+  * in SQL); `abs()` and +,- arithmetic.
   *
   * Not implemented (documented deviations): `retrieve into`, the
   * `*_all`/`group by` aggregate forms, and tuple-level provenance

@@ -1,8 +1,8 @@
 package repro.lang
 
 import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions.{col, lit}
-import org.apache.spark.sql.types.{DecimalType, DoubleType, FloatType, IntegerType, LongType, ShortType, StringType}
+import org.apache.spark.sql.functions.{col, count, lit, max, min, sum}
+import org.apache.spark.sql.types._
 import Ast._
 
 /** VQuel evaluator (Chapter 6): executes a parsed query against a
@@ -10,15 +10,22 @@ import Ast._
   *
   * Iterators over versions/relations are enumerated on the driver (there
   * are few of them — they are metadata); iterators over tuples delegate
-  * to the backing DataFrames. Aggregates whose inner predicate is a
-  * simple column-vs-literal condition are pushed down to Spark as
-  * `df.where(...).agg(...)`; other aggregates fall back to collected rows.
-  * An enumerated tuple iterator's rows are collected through its top-level
-  * `where` conjuncts that Spark compares as the driver does, so only the
-  * rows that can satisfy the `where` reach the driver, which still checks
-  * the whole `where`. Predicates follow SQL's three-valued logic, as Spark
-  * and DuckDB do: a comparison with a NULL side is unknown, and a filter
-  * keeps only what is true.
+  * to the backing DataFrames. A version's relations form one conceptual
+  * Record table, the union of their fields (Fig 6.1), so an attribute a
+  * tuple lacks is NULL. Predicates follow SQL's three-valued logic, as
+  * Spark and DuckDB do: a comparison with a NULL side is unknown, and a
+  * filter keeps only what is true.
+  *
+  * One rule decides what Spark evaluates: a predicate pushes into a
+  * relation's DataFrame when it is and/or/not over comparisons of the
+  * tuple's attributes with literals that Spark compares as the driver
+  * does. An enumerated tuple iterator's rows are collected through its
+  * top-level `where` conjuncts that push, and the driver still checks the
+  * whole `where`. An aggregate over a relation's tuples is one Spark action
+  * when its inner `where` pushes, and a fold of the collected tuples when
+  * not; one reducer combines the partials with SQL's NULL rules: `count`
+  * counts tuples, NULL attribute or not; `sum`/`min`/`max`/`avg` skip
+  * NULLs and are NULL over no non-NULL value.
   *
   * A `range` variable is *enumerated* (appears in the outer nested loop)
   * if it is referenced outside aggregate arguments or feeds another
@@ -35,17 +42,32 @@ object Evaluator {
                             row: Map[String, Any]) extends Value
 
   type Binding = Map[String, Value]
-  type ResultRow = Vector[(String, Any)]
 
   final case class Result(columns: Vector[String], rows: Vector[Vector[Any]])
+
+  /** An aggregate's state over some tuples: `n` tuples, and the count,
+    * sum, min and max of their `k` non-NULL values.
+    */
+  private final case class Partial(n: Long, k: Long = 0, sum: Double = 0,
+                                   min: Double = Double.PositiveInfinity,
+                                   max: Double = Double.NegativeInfinity) {
+    def +(o: Partial): Partial =
+      Partial(n + o.n, k + o.k, sum + o.sum, math.min(min, o.min), math.max(max, o.max))
+
+    def result(fn: String): Any = fn match {
+      case "count"     => n
+      case _ if k == 0 => null
+      case "sum"       => sum
+      case "min"       => min
+      case "max"       => max
+      case "avg"       => sum / k
+    }
+  }
 
   def run(repo: Repository, queryText: String): Result =
     run(repo, Parser.parse(queryText))
 
-  def run(repo: Repository, q: Query): Result = {
-    val ev = new Eval(repo, q)
-    ev.execute()
-  }
+  def run(repo: Repository, q: Query): Result = new Eval(repo, q).execute()
 
   private final class Eval(repo: Repository, q: Query) {
     private val declared: Map[String, SourceExpr] =
@@ -85,24 +107,23 @@ object Evaluator {
       used.intersect(declared.keySet)
     }
 
-    /** The top-level `where` conjuncts `E.attr op literal` of each
-      * enumerated tuple iterator E: a binding in which one of them is not
+    /** The top-level `where` conjuncts of each enumerated tuple iterator E
+      * that name no other iterator: a binding in which one of them is not
       * true fails the whole `where`, so E's domain can leave those tuples out.
       */
-    private val pushed: Map[String, List[Cmp]] = {
+    private val pushed: Map[String, List[Pred]] = {
       def conjuncts(p: Pred): List[Pred] = p match {
         case And(l, r) => conjuncts(l) ++ conjuncts(r)
         case other     => List(other)
       }
-      q.where.toList.flatMap(conjuncts).collect {
-        case c @ Cmp(_, PathExpr(v, _ :: Nil), Lit(_))
-            if enumerated(v) && declared(v).steps.lastOption.contains(TuplesStep) => v -> c
+      q.where.toList.flatMap(conjuncts).map(c => varsOutsideAgg(c).toList -> c).collect {
+        case (v :: Nil, c) if enumerated(v) && declared(v).steps.lastOption.contains(TuplesStep) => v -> c
       }.groupMap(_._1)(_._2)
     }
 
     // Cache collected tuple rows per (version, relation, pushed conjuncts).
     private val tupleCache =
-      scala.collection.mutable.Map.empty[(String, String, List[Cmp]), Vector[Map[String, Any]]]
+      scala.collection.mutable.Map.empty[(String, String, List[Pred]), Vector[Map[String, Any]]]
 
     // ---- domain evaluation ------------------------------------------------
 
@@ -121,16 +142,16 @@ object Evaluator {
       }
 
     /** The domain of iterator `name`; `filter` restricts a `Tuples` step. */
-    def domainOf(name: String, binding: Binding, filter: List[Cmp] = Nil): Vector[Value] =
+    def domainOf(name: String, binding: Binding, filter: List[Pred] = Nil): Vector[Value] =
       domain(declared.getOrElse(name,
         throw new IllegalArgumentException(s"undeclared iterator '$name'")), binding, filter)
 
-    def domain(src: SourceExpr, binding: Binding, filter: List[Cmp] = Nil): Vector[Value] =
+    def domain(src: SourceExpr, binding: Binding, filter: List[Pred] = Nil): Vector[Value] =
       src.steps.foldLeft(baseValues(src.base, binding)) { (vals, step) =>
         vals.flatMap(applyStep(_, step, binding, filter))
       }
 
-    private def applyStep(v: Value, step: Step, binding: Binding, filter: List[Cmp]): Vector[Value] =
+    private def applyStep(v: Value, step: Step, binding: Binding, filter: List[Pred]): Vector[Value] =
       (v, step) match {
         case (VersionVal(ver), RelationsStep(f)) =>
           ver.relations.toVector.sortBy(_._1).map { case (n, df) =>
@@ -151,33 +172,41 @@ object Evaluator {
       }
 
     /** The rows of `df`, less those that fail a conjunct of `filter` that
-      * Spark can evaluate.
+      * Spark can evaluate. Each conjunct names only the tuple's iterator.
       */
     private def tupleRows(vid: String, rel: String, df: DataFrame,
-                          filter: List[Cmp]): Vector[Map[String, Any]] =
+                          filter: List[Pred]): Vector[Map[String, Any]] =
       tupleCache.getOrElseUpdate((vid, rel, filter), {
-        val cols = df.columns
-        filter.flatMap(sparkCmp(df, _)).foldLeft(df)(_ where _)
-          .collect().toVector.map(r => cols.zipWithIndex.map {
-            case (c, i) => c -> r.get(i)
-          }.toMap)
+        val cols = df.columns.toSeq
+        filter.flatMap(sparkPred(df, _, _ => true)).foldLeft(df)(_ where _)
+          .collect().toVector.map(r => cols.zip(r.toSeq).toMap)
       })
 
-    /** Conjunct `c` as a filter on `df`, when Spark's comparison agrees
-      * with [[compare]]'s: a numeric column against a number literal, both
-      * compared as `Double`, or a string column tested for (in)equality
-      * with a string literal. Any other pairing is left to the driver.
+    /** `p` as a filter on `df` that keeps exactly the tuples [[holds]]
+      * keeps, or `None`: the one pushdown rule. `p` must be and/or/not over
+      * comparisons of an attribute `X.a`, with `tupleVar(X)`, against a
+      * literal that Spark compares as [[compare]] does: a numeric column
+      * against a number, both as `Double`, or a string column tested for
+      * (in)equality with a string. An attribute `df` lacks is NULL, so its
+      * comparison is unknown, and Spark's and/or/not are three-valued.
       */
-    private def sparkCmp(df: DataFrame, c: Cmp): Option[Column] = c match {
-      case Cmp(op, PathExpr(_, a :: Nil), Lit(x)) if a != "all" =>
-        df.schema.find(_.name == a).map(_.dataType).collect {
-          case IntegerType | LongType | ShortType | FloatType | DoubleType | _: DecimalType
-              if x.isInstanceOf[Double] => sparkOp(op, col(a), lit(x))
-          case StringType if x.isInstanceOf[String] && (op == "=" || op == "!=") =>
-            sparkOp(op, col(a), lit(x))
+    private def sparkPred(df: DataFrame, p: Pred, tupleVar: String => Boolean): Option[Column] = p match {
+      case And(l, r) => for (a <- sparkPred(df, l, tupleVar); b <- sparkPred(df, r, tupleVar)) yield a && b
+      case Or(l, r)  => for (a <- sparkPred(df, l, tupleVar); b <- sparkPred(df, r, tupleVar)) yield a || b
+      case Not(x)    => sparkPred(df, x, tupleVar).map(!_)
+      case Cmp(op, PathExpr(v, a :: Nil), Lit(x)) if tupleVar(v) && a != "all" =>
+        typeOf(df, a) match {
+          case None => Some(lit(null).cast(BooleanType))
+          case Some(_: NumericType) if x.isInstanceOf[Double] => Some(sparkOp(op, col(a), lit(x)))
+          case Some(StringType) if x.isInstanceOf[String] && (op == "=" || op == "!=") =>
+            Some(sparkOp(op, col(a), lit(x)))
+          case _ => None
         }
       case _ => None
     }
+
+    private def typeOf(df: DataFrame, a: String): Option[DataType] =
+      df.schema.find(_.name == a).map(_.dataType)
 
     private def sparkOp(op: String, c: Column, x: Column): Column = op match {
       case "="  => c === x
@@ -241,8 +270,9 @@ object Evaluator {
         evalAgg(fn, src, attrName, where, binding)
     }
 
-    /** Aggregate evaluation with DataFrame pushdown when the domain is a
-      * relation's tuples and the inner predicate is column-vs-literal.
+    /** An aggregate over the domain `src`: the [[Partial]]s of its
+      * relations' tuples, each by [[sparkPartial]] where it can and by a
+      * driver fold where not, or of its other values on the driver.
       */
     private def evalAgg(fn: String, src: SourceExpr, attrName: Option[String],
                         where: Option[Pred], binding: Binding): Any = {
@@ -254,88 +284,55 @@ object Evaluator {
           declared(name)
         case s => s
       }
-      // Pushdown attempt: source resolves to relations, final step Tuples.
-      pushdownAgg(fn, effSrc, attrName, where, binding) match {
-        case Some(x) => x
-        case None =>
-          val dom = domain(effSrc, binding)
-          val vals = dom.flatMap { v =>
-            val b2 = bindSelf(effSrc, v, binding)
-            if (where.forall(holds(_, Some(v), b2)))
-              Some(attrName.map(a => attr(v, List(a))).getOrElse(v))
-            else None
-          }
-          fn match {
-            case "count" => vals.size.toLong
-            case "sum"   => vals.map(num).sum
-            case "min"   => if (vals.isEmpty) null else vals.map(num).min
-            case "max"   => if (vals.isEmpty) null else vals.map(num).max
-            case "avg"   => if (vals.isEmpty) null else vals.map(num).sum / vals.size
-          }
+      // The declared var whose domain this is may appear in the inner
+      // where, bound to each candidate value.
+      val domVar = declared.collectFirst { case (n, s) if s == effSrc && !binding.contains(n) => n }
+      def fold(dom: Vector[Value]): Partial = {
+        val vals = dom.filter(v => where.forall(holds(_, Some(v), domVar.fold(binding)(n => binding + (n -> v)))))
+          .map(v => attrName.map(a => attr(v, List(a))).getOrElse(v))
+        val xs = if (fn == "count") Nil else vals.filter(_ != null).map(num)
+        xs.foldLeft(Partial(vals.size.toLong))((p, x) => p + Partial(0, 1, x, x, x))
       }
+      val parts = effSrc.steps match {
+        case init :+ TuplesStep =>
+          domain(SourceExpr(effSrc.base, init), binding).map { r =>
+            val pushed = r match {
+              case RelationVal(_, _, df) => sparkPartial(fn, df, attrName, where, v => v.isEmpty || domVar.contains(v))
+              case _                     => None
+            }
+            pushed.getOrElse(fold(applyStep(r, TuplesStep, binding, Nil)))
+          }
+        case _ => Vector(fold(domain(effSrc, binding)))
+      }
+      parts.foldLeft(Partial(0))(_ + _).result(fn)
     }
 
-    /** When the aggregate domain is a declared var, its name can appear in
-      * the inner where; bind the candidate value to it.
+    /** The partial of the tuples of `df` on which `where` holds, by one
+      * Spark action, or `None` when `where` does not push into `df` or a
+      * value aggregate's attribute is a non-numeric column.
       */
-    private def bindSelf(src: SourceExpr, v: Value, binding: Binding): Binding =
-      declared.collectFirst { case (n, s) if s == src && !binding.contains(n) => n }
-        .map(n => binding + (n -> v)).getOrElse(binding)
-
-    private def pushdownAgg(fn: String, src: SourceExpr, attrName: Option[String],
-                            where: Option[Pred], binding: Binding): Option[Any] = {
-      // Domain must end in Tuples over exactly one relation.
-      if (!src.steps.lastOption.contains(TuplesStep)) return None
-      val relSrc = SourceExpr(src.base, src.steps.dropRight(1))
-      val rels = try domain(relSrc, binding) catch { case _: Exception => return None }
-      val dfs = rels.collect { case RelationVal(_, _, df) => df }
-      if (dfs.isEmpty) return Some(if (fn == "count") 0L else null)
-      // Inner predicate must reference only tuple columns vs literals.
-      val aggVar = declared.collectFirst {
-        case (n, s) if s == src && !binding.contains(n) => n
-      }
-      def toColumn(p: Pred): Option[Column] = p match {
-        case And(l, r) => for (a <- toColumn(l); b <- toColumn(r)) yield a && b
-        case Or(l, r)  => for (a <- toColumn(l); b <- toColumn(r)) yield a || b
-        case Not(x)    => toColumn(x).map(!_)
-        case Cmp(op, PathExpr(v, a :: Nil), Lit(x))
-            if aggVar.contains(v) || v.isEmpty =>
-          Some(sparkOp(op, col(a), lit(x)))
-        case _ => None
-      }
-      val filterCol = where match {
-        case None => Some(None)
-        case Some(p) => toColumn(p).map(Some(_))
-      }
-      filterCol.map { fc =>
-        val filtered = dfs.map(df => fc.map(df.where).getOrElse(df))
-        import org.apache.spark.sql.functions._
-        fn match {
-          case "count" => filtered.map(_.count()).sum
-          case other =>
-            val a = attrName.getOrElse(return None)
-            val per = filtered.flatMap { df =>
-              val r = df.agg(Map(a -> other)).collect()(0)
-              Option(r.get(0)).map(x => num(x))
-            }
-            if (per.isEmpty) null
-            else other match {
-              case "sum" => per.sum
-              case "min" => per.min
-              case "max" => per.max
-              case "avg" => return None // cross-relation avg needs counts; fall back
-            }
-        }
+    private def sparkPartial(fn: String, df: DataFrame, attrName: Option[String],
+                             where: Option[Pred], tupleVar: String => Boolean): Option[Partial] = {
+      val valueAggs =
+        if (fn == "count") Some(Nil)
+        else attrName.flatMap(a => typeOf(df, a) match {
+          case None                 => Some(lit(null)) // absent: NULL in every tuple
+          case Some(_: NumericType) => Some(col(a))
+          case _                    => None
+        }).map(_.cast(DoubleType)).map(v => Seq(count(v), sum(v), min(v), max(v)))
+      for {
+        aggs <- valueAggs
+        rows <- where.fold(Option(df))(sparkPred(df, _, tupleVar).map(df.where))
+      } yield {
+        val r = rows.agg(count(lit(1)), aggs: _*).collect()(0)
+        if (aggs.isEmpty || r.getLong(1) == 0) Partial(r.getLong(0))
+        else Partial(r.getLong(0), r.getLong(1), r.getDouble(2), r.getDouble(3), r.getDouble(4))
       }
     }
 
+    /** `x` as a number: a value of any Spark `NumericType`, or a numeral. */
     private def num(x: Any): Double = x match {
-      case d: Double => d
-      case f: Float => f.toDouble
-      case l: Long => l.toDouble
-      case i: Int => i.toDouble
-      case s: Short => s.toDouble
-      case b: java.math.BigDecimal => b.doubleValue
+      case n: java.lang.Number => n.doubleValue
       case s: String => s.toDouble
       case other => throw new IllegalArgumentException(s"not numeric: $other")
     }
@@ -374,21 +371,20 @@ object Evaluator {
                 case ">=" => c >= 0
               })
           }
-        case And(l, r) => evalPred(l, self, binding) match {
-          case f @ Some(false) => f
-          case x => evalPred(r, self, binding) match {
-            case f @ Some(false) => f
-            case y => if (x.isEmpty || y.isEmpty) None else y
-          }
+        case And(l, r) => connect(l, r, decider = false, self, binding)
+        case Or(l, r)  => connect(l, r, decider = true, self, binding)
+        case Not(x)    => evalPred(x, self, binding).map(!_)
+      }
+
+    /** `l and r` (`decider` false) or `l or r` (true), three-valued. */
+    private def connect(l: Pred, r: Pred, decider: Boolean, self: Option[Value],
+                        binding: Binding): Option[Boolean] =
+      evalPred(l, self, binding) match {
+        case d @ Some(`decider`) => d
+        case x => evalPred(r, self, binding) match {
+          case d @ Some(`decider`) => d
+          case y => if (x.isEmpty) None else y
         }
-        case Or(l, r) => evalPred(l, self, binding) match {
-          case t @ Some(true) => t
-          case x => evalPred(r, self, binding) match {
-            case t @ Some(true) => t
-            case y => if (x.isEmpty || y.isEmpty) None else y
-          }
-        }
-        case Not(x) => evalPred(x, self, binding).map(!_)
       }
 
     /** Whether `p` is true: a filter keeps a value only then. */

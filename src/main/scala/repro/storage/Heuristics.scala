@@ -52,13 +52,16 @@ object Lmg {
       if (budget.isEmpty && stop(storage, sumRec)) continue = false
       else {
         // Subtree sizes (number of versions whose recreation path goes
-        // through each node).
+        // through each node): a breadth-first order from the root puts each
+        // node after its parent, so the reverse order adds every subtree
+        // into its parent after the subtree is complete, with no recursion.
         val kids = sol.children
+        val order = new Array[Int](n + 1)
+        var (i, len) = (0, 1)
+        while (i < len) { for (c <- kids(order(i))) { order(len) = c; len += 1 }; i += 1 }
         val subSize = Array.fill(n + 1)(1)
-        def sizeOf(v: Int): Int = {
-          subSize(v) = 1 + kids(v).map(sizeOf).sum; subSize(v)
-        }
-        sizeOf(0); subSize(0) -= 1
+        for (k <- len - 1 to 1 by -1) subSize(parent(order(k))) += subSize(order(k))
+        subSize(0) -= 1
         // Candidate moves: materialize v (re-parent to 0).
         var bestV = -1; var bestRatio = 0.0
         for (v <- 1 to n; if parent(v) != 0) {

@@ -233,6 +233,14 @@ class PartitionedStoreSpec extends AnyFunSuite with SparkSpec {
     assert(n.jobs == 0)
   }
 
+  test("withVid tags each version's rows with its vid across partitions, as in DuckDB") {
+    assert(store.currentScheme.numPartitions > 1)
+    Oracle.assertEquivalent(
+      store.withVid().select(Seq("vid", "rid", "pk", "a1", "a2").map(c => col(c).cast("string") as c): _*),
+      "SELECT m.vid AS vid, d.rid AS rid, d.pk AS pk, d.a1 AS a1, d.a2 AS a2 FROM data d JOIN membership m ON d.rid = m.rid",
+      "data" -> data, "membership" -> membership)
+  }
+
   test("a partitioned checkout's collect runs one Spark job and broadcasts nothing") {
     val s = store
     withDefaultBroadcast {

@@ -1,8 +1,10 @@
 package repro.lang
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.{col, udf}
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.{col, lit, udf}
+import org.apache.spark.sql.types.{DoubleType, LongType, StringType, StructField, StructType}
 import org.scalatest.funsuite.AnyFunSuite
+import scala.jdk.CollectionConverters._
 import repro.{Oracle, SparkSpec}
 
 /** Executes the thesis's example queries (§6.3) against the Fig 6.1-style
@@ -211,20 +213,68 @@ class EvaluatorSpec extends AnyFunSuite with SparkSpec {
     "E.a = 5 or E.pk = 2" -> "a = 5 OR pk = 2",
     "not (E.a = 5 and E.pk = 2)" -> "NOT (a = 5 AND pk = 2)")
 
+  /** `count(E.<key> where w)`, then `sum`, `min`, `max` and `avg` of
+    * `E.<a> where w`: the targets [[aggDF]] reads.
+    */
+  private def aggTargets(key: String, a: String, w: String): String =
+    (s"count(E.$key where $w)" +: Seq("sum", "min", "max", "avg").map(f => s"$f(E.$a where $w)"))
+      .mkString(", ")
+
+  /** Result rows of `keys` then [[aggTargets]] as a DataFrame with the
+    * columns `keys`, n, s, lo, hi and m.
+    */
+  private def aggDF(rows: Vector[Vector[Any]], keys: String*): DataFrame =
+    spark.createDataFrame(rows.map(Row.fromSeq).asJava, StructType(
+      keys.map(StructField(_, StringType)) ++ Seq(StructField("n", LongType)) ++
+        Seq("s", "lo", "hi", "m").map(StructField(_, DoubleType))))
+
+  /** DuckDB's [[aggDF]] columns over T's `pk` and `a`. */
+  private val AggSql =
+    "count(pk) AS n, sum(a)::DOUBLE AS s, min(a)::DOUBLE AS lo, max(a)::DOUBLE AS hi, avg(a) AS m"
+
+  private def runT(targets: String, rel: String = "T"): Vector[Vector[Any]] =
+    Evaluator.run(nullRepo._1,
+      s"""range of V is Version
+         |range of E is V.Relations(name = ||$rel||).Tuples
+         |retrieve $targets""".stripMargin).rows
+
   test("an aggregate's NULL comparisons agree pushed down and on the driver, as in DuckDB") {
-    import spark.implicits._
-    for ((p, sql) <- nullPreds) {
+    // Each predicate, and `E.pk > 0`, which keeps the NULL `a`: count
+    // counts its tuple, and sum/min/max/avg skip it.
+    for ((p, sql) <- ("E.pk > 0" -> "pk > 0") +: nullPreds) {
       // `E.pk = E.pk` is no column-vs-literal test, so it keeps the
       // aggregate on the driver.
-      val counts = Seq(p, s"($p) and E.pk = E.pk").map { w =>
-        Evaluator.run(nullRepo._1,
-          s"""range of V is Version
-             |range of E is V.Relations(name = ||T||).Tuples
-             |retrieve count(E.pk where $w)""".stripMargin).rows.head.head.asInstanceOf[Long]
-      }
-      assert(counts.distinct.length == 1, s"$p: pushed ${counts(0)}, driver ${counts(1)}")
-      duck(Seq(counts.head).toDF("n"), "count(pk) AS n", sql)
+      val rows = Seq(p, s"($p) and E.pk = E.pk").map(w => runT(aggTargets("pk", "a", w)))
+      assert(rows(0) == rows(1), s"$p: pushed ${rows(0)}, driver ${rows(1)}")
+      duck(aggDF(rows(0)), AggSql, sql)
     }
+  }
+
+  test("sum, min, max and avg over no value are NULL, pushed down and on the driver, as in DuckDB") {
+    for (w <- Seq("E.a > 100", "E.a > 100 and E.pk = E.pk"))
+      duck(aggDF(runT(aggTargets("pk", "a", w))), AggSql, "a > 100")
+    // A domain with no relation in it.
+    assert(runT(aggTargets("pk", "a", "E.pk > 0"), rel = "U") == Vector(Vector(0L, null, null, null, null)))
+  }
+
+  test("an aggregate over relations that lack its attributes reads them as NULL, as in DuckDB") {
+    // E ranges over Employee and Department tuples alike; `age` and
+    // `employee_id` are NULL in a Department tuple (Fig 6.1's Record table).
+    val rows = Seq("E.age > 30", "E.age > 30 and E.employee_id = E.employee_id").map { w =>
+      run(s"""range of V is Version
+             |range of E is V.Relations.Tuples
+             |retrieve V.id, ${aggTargets("employee_id", "age", w)}""".stripMargin).rows
+    }
+    assert(rows(0) == rows(1), s"pushed ${rows(0)}, driver ${rows(1)}")
+    val records = repo.versions.flatMap(v => v.relations.values.map { df =>
+      def field(a: String) = (if (df.columns.contains(a)) col(a) else lit(null)).cast("string") as a
+      df.select(lit(v.id) as "vid", field("employee_id"), field("age"))
+    }).reduce(_ unionByName _)
+    Oracle.assertEquivalent(aggDF(rows(0), "id"),
+      """SELECT vid AS id, count(*) AS n, sum(a)::DOUBLE AS s, min(a)::DOUBLE AS lo,
+        |  max(a)::DOUBLE AS hi, avg(a) AS m
+        |FROM (SELECT vid, CAST(age AS BIGINT) a FROM records) WHERE a > 30 GROUP BY vid""".stripMargin,
+      "records" -> records)
   }
 
   test("a tuple iterator's NULL comparisons agree with DuckDB, pushed into its collect or not") {

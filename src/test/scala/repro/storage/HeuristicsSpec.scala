@@ -129,4 +129,22 @@ class HeuristicsSpec extends AnyFunSuite {
     assert(lmg.storageCost(und) <= sptC + 1e-6 || lmg.sumRecreation(und) <=
       Spanning.primMST(und).sumRecreation(und))
   }
+
+  test("LMG plans a 2,000-deep storage tree on a thread with the default stack") {
+    // A path: each version is one record from the next and costs 100 to
+    // materialize, so the MST is one chain 2,000 deep. Δ = Φ.
+    val n = 2000
+    val cost = Array.fill(n + 1, n + 1)(Double.PositiveInfinity)
+    for (j <- 1 to n) { cost(0)(j) = 100; cost(j)(j) = 0 }
+    for (j <- 1 until n) { cost(j)(j + 1) = 1; cost(j + 1)(j) = 1 }
+    val g = new DeltaGraph(n, cost, cost, directed = false)
+    val mst = Spanning.primMST(g)
+    val beta = 1.2 * mst.storageCost(g)
+    var out: Either[Throwable, StorageSolution] = Left(new IllegalStateException("not run"))
+    val t = new Thread(() => out = try Right(Lmg.minSumRecreation(g, beta)) catch { case e: Throwable => Left(e) })
+    t.start(); t.join()
+    val sol = out.fold(e => fail(s"LMG threw $e"), identity)
+    assert(sol.isValid && sol.storageCost(g) <= beta + 1e-6)
+    assert(sol.sumRecreation(g) < mst.sumRecreation(g))
+  }
 }
