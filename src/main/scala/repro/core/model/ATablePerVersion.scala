@@ -26,7 +26,7 @@ final class ATablePerVersion(spark: SparkSession, dir: Path) extends CvdStore(sp
       .write.mode("overwrite").partitionBy("vid").parquet(tablesDir)
   }
 
-  override def checkout(vid: Int): DataFrame = {
+  override protected def checkoutRows(vid: Int): DataFrame = {
     val df = tables.where(col("vid") === vid).drop("vid")
     df.select("rid", attrCols(df): _*)
   }

@@ -32,7 +32,7 @@ final class CombinedTable(spark: SparkSession, dir: Path) extends CvdStore(spark
     data.join(vlists, Seq("rid")).write.mode("overwrite").parquet(current)
   }
 
-  override def checkout(vid: Int): DataFrame = {
+  override protected def checkoutRows(vid: Int): DataFrame = {
     val df = combined
       .where(array_contains(col("vlist"), vid))
       .drop("vlist")

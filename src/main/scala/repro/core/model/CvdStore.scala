@@ -1,5 +1,6 @@
 package repro.core.model
 
+import com.google.common.collect.MapMaker
 import java.nio.file.{Files, Path}
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.expressions.Window
@@ -41,8 +42,18 @@ abstract class CvdStore(val spark: SparkSession, val dir: Path) {
     */
   def load(data: DataFrame, graph: VersionGraph): Unit
 
-  /** Materialize version `vid` with schema (rid, pk, a*). */
-  def checkout(vid: Int): DataFrame
+  /** Materialize version `vid` with schema (rid, pk, a*). The returned
+    * DataFrame itself, not one derived from it, is remembered with the
+    * version's record set: see [[CvdStore.checkedOut]].
+    */
+  final def checkout(vid: Int): DataFrame = {
+    val df = checkoutRows(vid)
+    CvdStore.checkouts.put(df, recordsOf(vid))
+    df
+  }
+
+  /** The rows of version `vid`, schema (rid, pk, a*): each model's checkout. */
+  protected def checkoutRows(vid: Int): DataFrame
 
   /** Commit `table` (schema rid|NULL, pk, a*) as a new version derived
     * from `parents`. Rows with a null `rid` are new/modified records and
@@ -87,7 +98,7 @@ abstract class CvdStore(val spark: SparkSession, val dir: Path) {
     * records), with the checkout schema.
     */
   protected def rowsOf(vid: Int, rids: IntervalSet): DataFrame =
-    checkout(vid).where(Membership.within(rids))
+    checkoutRows(vid).where(Membership.within(rids))
 
   /** The record schema (rid, pk, a*), every field nullable, as the first
     * `load` or `commit` gave it.
@@ -191,6 +202,19 @@ object CvdStore {
     * record set.
     */
   final case class Commit(table: DataFrame, fresh: DataFrame, records: IntervalSet)
+
+  /** Every DataFrame [[CvdStore.checkout]] has returned and not yet been
+    * collected, with its version's record set. Keys are weak and compared
+    * by identity, so a DataFrame derived from a checkout (`where`, `limit`,
+    * `union`, ...) is a new object that is never found here.
+    */
+  private val checkouts = new MapMaker().weakKeys().makeMap[DataFrame, IntervalSet]()
+
+  /** The record set of the version whose checkout `df` is, if `df` is the
+    * very DataFrame a `checkout` returned: its rows are exactly those
+    * records, one row each, so for example it has `size` rows.
+    */
+  def checkedOut(df: DataFrame): Option[IntervalSet] = Option(checkouts.get(df))
 
   /** `df`'s columns with rid first, every field nullable: the schema
     * Parquet gives them back with.

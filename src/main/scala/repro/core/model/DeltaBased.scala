@@ -52,7 +52,7 @@ final class DeltaBased(spark: SparkSession, dir: Path) extends CvdStore(spark, d
       .write.mode("overwrite").parquet(delDir)
   }
 
-  override def checkout(vid: Int): DataFrame = {
+  override protected def checkoutRows(vid: Int): DataFrame = {
     // Base chain from root down to vid.
     var chain = List(vid)
     while (baseOf(chain.head) >= 0) chain = baseOf(chain.head) :: chain

@@ -34,7 +34,7 @@ final class SplitByVlist(spark: SparkSession, dir: Path) extends CvdStore(spark,
       .write.mode("overwrite").parquet(versioning)
   }
 
-  override def checkout(vid: Int): DataFrame = {
+  override protected def checkoutRows(vid: Int): DataFrame = {
     val rids = vlists
       .where(array_contains(col("vlist"), vid))
       .select("rid")

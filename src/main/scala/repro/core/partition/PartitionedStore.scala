@@ -72,7 +72,7 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
   private def writeVersioning(members: Seq[Int], path: String): Unit =
     Membership.writeRlists(spark, path, members.map(v => v -> recordsOf(v)))
 
-  override def checkout(vid: Int): DataFrame = rowsOf(vid, recordsOf(vid))
+  override protected def checkoutRows(vid: Int): DataFrame = rowsOf(vid, recordsOf(vid))
 
   /** One scan of the version's partition data table, whose columns are the
     * record schema's, rid first.

@@ -3,6 +3,7 @@ package repro.lang
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions.{col, count, lit, max, min, sum}
 import org.apache.spark.sql.types._
+import repro.core.model.CvdStore
 import Ast._
 
 /** VQuel evaluator (Chapter 6): executes a parsed query against a
@@ -25,7 +26,10 @@ import Ast._
   * when its inner `where` pushes, and a fold of the collected tuples when
   * not; one reducer combines the partials with SQL's NULL rules: `count`
   * counts tuples, NULL attribute or not; `sum`/`min`/`max`/`avg` skip
-  * NULLs and are NULL over no non-NULL value.
+  * NULLs and are NULL over no non-NULL value. A relation that is itself a
+  * store checkout ([[CvdStore.checkedOut]]) answers a `count` with no inner
+  * `where` from its version's record set, with no Spark job (Ch.6 over
+  * split-by-rlist: a version's tuple count is the length of its rlist).
   *
   * A `range` variable is *enumerated* (appears in the outer nested loop)
   * if it is referenced outside aggregate arguments or feeds another
@@ -307,9 +311,11 @@ object Evaluator {
       parts.foldLeft(Partial(0))(_ + _).result(fn)
     }
 
-    /** The partial of the tuples of `df` on which `where` holds, by one
-      * Spark action, or `None` when `where` does not push into `df` or a
-      * value aggregate's attribute is a non-numeric column.
+    /** The partial of the tuples of `df` on which `where` holds, or `None`
+      * when `where` does not push into `df` or a value aggregate's attribute
+      * is a non-numeric column. An unfiltered `count` of a store checkout
+      * is the size of its version's record set, which the driver holds, so
+      * it runs no Spark job; every other partial is one Spark action.
       */
     private def sparkPartial(fn: String, df: DataFrame, attrName: Option[String],
                              where: Option[Pred], tupleVar: String => Boolean): Option[Partial] = {
@@ -320,14 +326,15 @@ object Evaluator {
           case Some(_: NumericType) => Some(col(a))
           case _                    => None
         }).map(_.cast(DoubleType)).map(v => Seq(count(v), sum(v), min(v), max(v)))
-      for {
+      val records = if (fn == "count" && where.isEmpty) CvdStore.checkedOut(df) else None
+      records.map(rids => Partial(rids.size)).orElse(for {
         aggs <- valueAggs
         rows <- where.fold(Option(df))(sparkPred(df, _, tupleVar).map(df.where))
       } yield {
         val r = rows.agg(count(lit(1)), aggs: _*).collect()(0)
         if (aggs.isEmpty || r.getLong(1) == 0) Partial(r.getLong(0))
         else Partial(r.getLong(0), r.getLong(1), r.getDouble(2), r.getDouble(3), r.getDouble(4))
-      }
+      })
     }
 
     /** `x` as a number: a value of any Spark `NumericType`, or a numeral. */

@@ -5,6 +5,11 @@ import org.apache.spark.sql.DataFrame
 /** The conceptual data model VQuel queries against (Fig 6.1): versions
   * with metadata, each holding named relations backed by DataFrames.
   * The version graph is encoded by `parents` (ids), with children derived.
+  *
+  * A relation may be any DataFrame. One that a store's `checkout` returned,
+  * as it was returned, is known to the [[Evaluator]] by its record set
+  * ([[repro.core.model.CvdStore.checkedOut]]), so its unfiltered tuple
+  * count runs no Spark job; anything derived from it is a plain DataFrame.
   */
 final case class VersionMeta(
     id: String,

@@ -1,15 +1,21 @@
 package repro.lang
 
+import java.nio.file.Files
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions.{col, lit, udf}
+import org.apache.spark.sql.functions.{col, lit, pmod, udf, when}
 import org.apache.spark.sql.types.{DoubleType, LongType, StringType, StructField, StructType}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.jdk.CollectionConverters._
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkJobs, SparkSpec}
+import repro.core.VersioningBenchmark
+import repro.core.model.{ATablePerVersion, CombinedTable, CvdStore, DeltaBased, SplitByRlist, SplitByVlist}
+import repro.core.partition.{Migration, PartitionScheme, PartitionedStore}
 
 /** Executes the thesis's example queries (§6.3) against the Fig 6.1-style
   * repository: versions v01 → {v02, v03} with Employee/Department
-  * relations evolving across versions.
+  * relations evolving across versions. Then counts and aggregates over
+  * relations that are store checkouts, in every layout, and over
+  * DataFrames derived from them, each checked against DuckDB.
   */
 class EvaluatorSpec extends AnyFunSuite with SparkSpec {
 
@@ -323,5 +329,131 @@ class EvaluatorSpec extends AnyFunSuite with SparkSpec {
     // which compares the two as numbers.
     read.reset()
     assert(run("E.pk = ||7||") == Vector(7L) && read.value == 40)
+  }
+
+  // ---- relations that are store checkouts ---------------------------------
+
+  private lazy val history = VersioningBenchmark.sci(
+    numVersions = 6, base = 200, updates = 20, inserts = 8, branches = 2, seed = 7)
+  /** The newest version: the commit each layout gets after loading. */
+  private lazy val committed = history.numVersions
+
+  private val layoutNames = Seq("a-table-per-version", "combined-table", "split-by-vlist",
+    "split-by-rlist", "delta-based", "2-partition split-by-rlist")
+
+  /** Each layout of [[layoutNames]], loaded with `history`: the five Ch.4
+    * models, and a [[PartitionedStore]] loaded in 2 partitions and migrated
+    * to 2 others. Each then commits an edit of its newest version.
+    */
+  private lazy val layouts: Seq[CvdStore] = {
+    val base = Files.createTempDirectory("evalstores")
+    val data = VersioningBenchmark.dataTableDF(spark, history, nAttrs = 2)
+    val n = history.numVersions
+    val halves = PartitionScheme(Vector.tabulate(n)(v => if (v < n / 2) 0 else 1))
+    val alternate = PartitionScheme(Vector.tabulate(n)(_ % 2))
+    val models = Seq(new ATablePerVersion(spark, base.resolve("atpv")),
+      new CombinedTable(spark, base.resolve("comb")), new SplitByVlist(spark, base.resolve("svl")),
+      new SplitByRlist(spark, base.resolve("srl")), new DeltaBased(spark, base.resolve("delta")))
+    models.foreach(_.load(data, history))
+    val parts = new PartitionedStore(spark, base.resolve("parts"))
+    parts.load(data, history, halves)
+    parts.migrate(alternate, Migration.plan(history, halves, alternate))
+    val stores = models :+ parts
+    for (s <- stores) assert(s.commit(edited(s.checkout(n - 1)), Seq(n - 1)) == committed)
+    stores
+  }
+
+  /** `rows` with every 5th pk edited (rid nulled, a1 = -1) and 3 rows with
+    * new pks added, materialized so the store's rewrites cannot change it.
+    */
+  private def edited(rows: DataFrame): DataFrame = {
+    val hit = pmod(col("pk"), lit(5)) === 0
+    val added = spark.range(1000000L, 1000003L).select(
+      lit(null).cast("long") as "rid", col("id") as "pk", col("id") as "a1", lit(0L) as "a2")
+    rows.withColumn("rid", when(hit, lit(null).cast("long")).otherwise(col("rid")))
+      .withColumn("a1", when(hit, lit(-1L)).otherwise(col("a1")))
+      .unionByName(added).localCheckpoint()
+  }
+
+  /** Versions `vids` of store `s`, each holding one relation `R`: `rel(v)`. */
+  private def storeRepo(s: CvdStore, vids: Seq[Int])(rel: Int => DataFrame): Repository =
+    Repository(vids.toVector.map(v => VersionMeta(s"v$v", s"commit $v", v, "analyst",
+      s.parents(v).filter(vids.contains).map(p => s"v$p").toVector, Map("R" -> rel(v)))))
+
+  /** Run `targets` per version over `repo`: the result rows and the Spark
+    * jobs the evaluation ran.
+    */
+  private def perVersion(repo: Repository, targets: String): (Vector[Vector[Any]], Long) = {
+    val (r, n) = SparkJobs.count(spark)(Evaluator.run(repo,
+      s"""range of V is Version
+         |range of E is V.Relations.Tuples
+         |retrieve V.id, $targets""".stripMargin))
+    (r.rows, n.jobs)
+  }
+
+  /** Checks `rows`, whose columns are the version id and then `cols`,
+    * against DuckDB's `select` over the table `tuples` (id, pk, a1) of
+    * each version's relation `R` in `repo`, grouped by id.
+    */
+  private def duckPerVersion(rows: Vector[Vector[Any]], cols: Seq[StructField],
+                             repo: Repository, select: String): Unit = {
+    val tuples = repo.versions.map(v =>
+      v.relations("R").select(lit(v.id) as "id", col("pk"), col("a1"))).reduce(_ unionByName _)
+    Oracle.assertEquivalent(
+      spark.createDataFrame(rows.map(Row.fromSeq).asJava, StructType(StructField("id", StringType) +: cols)),
+      s"SELECT id, $select FROM (SELECT id, CAST(pk AS BIGINT) pk, CAST(a1 AS BIGINT) a1 FROM tuples) GROUP BY id",
+      "tuples" -> tuples)
+  }
+
+  /** `count(V.Relations.Tuples)` and `count(E.pk)`: both count tuples. */
+  private val Counts = "count(V.Relations.Tuples), count(E.pk)"
+  private val CountCols = Seq(StructField("n", LongType), StructField("m", LongType))
+  private val CountSql = "count(*) AS n, count(*) AS m"
+
+  for ((layout, i) <- layoutNames.zipWithIndex) {
+    test(s"$layout: an unfiltered count of a checkout runs no Spark job and equals DuckDB's count of its rows") {
+      val s = layouts(i)
+      val repo = storeRepo(s, 0 to committed)(s.checkout)
+      val (rows, jobs) = perVersion(repo, Counts)
+      assert(jobs == 0)
+      assert(rows.map(_.tail) == (0 to committed).map(v => Vector(s.records(v).size, s.records(v).size)))
+      duckPerVersion(rows, CountCols, repo, CountSql)
+    }
+
+    test(s"$layout: a count over a DataFrame derived from a checkout, or a plain one, runs Spark and equals DuckDB") {
+      val s = layouts(i)
+      val vids = Seq(history.numVersions / 2, committed)
+      val derived = Seq[(String, Int => DataFrame)](
+        "where" -> (v => s.checkout(v).where(col("a1") < 50000)),
+        "limit" -> (v => s.checkout(v).limit(7)),
+        "unionByName" -> (v => s.checkout(v).unionByName(s.checkout(s.parents(v).head))),
+        "diffVersions" -> (v => s.diffVersions(v, s.parents(v).head)),
+        "toDF" -> (v => s.checkout(v).toDF()),
+        "plain" -> (v => spark.createDataFrame(s.checkout(v).collect().toSeq.asJava, s.checkout(v).schema)))
+      for ((kind, rel) <- derived) withClue(s"$kind: ") {
+        val repo = storeRepo(s, vids)(rel)
+        val (rows, jobs) = perVersion(repo, Counts)
+        assert(jobs >= 2 * vids.size, "each count is a Spark action")
+        duckPerVersion(rows, CountCols, repo, CountSql)
+      }
+    }
+
+    test(s"$layout: filtered counts and value aggregates over checkouts run Spark and equal DuckDB") {
+      val s = layouts(i)
+      val repo = storeRepo(s, 0 to committed)(s.checkout)
+      val (rows, jobs) = perVersion(repo, "count(E.pk where E.a1 < 50000), sum(E.a1), avg(E.a1)")
+      assert(jobs >= 3 * (committed + 1), "each aggregate is a Spark action")
+      duckPerVersion(rows, Seq(StructField("n", LongType), StructField("s", DoubleType), StructField("m", DoubleType)),
+        repo, "count(*) FILTER (WHERE a1 < 50000) AS n, sum(a1)::DOUBLE AS s, avg(a1) AS m")
+    }
+
+    test(s"$layout: a checkout's own count() still runs a Spark job") {
+      val s = layouts(i)
+      for (v <- Seq(0, committed)) {
+        val df = s.checkout(v)
+        val (c, n) = SparkJobs.count(spark)(df.count())
+        assert(n.jobs >= 1 && c == s.records(v).size, s"v$v: $c rows in ${n.jobs} jobs")
+      }
+    }
   }
 }
