@@ -8,7 +8,7 @@ import repro.experiments._
   */
 object Jobs {
   def session(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions",

@@ -44,11 +44,7 @@ final case class VersionGraph(versions: Vector[Version]) {
     versions(i).records.intersectSize(versions(j).records)
 
   /** Children adjacency (derived from parent lists). */
-  lazy val children: Vector[Vector[Int]] = {
-    val acc = Array.fill(numVersions)(Vector.newBuilder[Int])
-    for (v <- versions; p <- v.parents) acc(p) += v.vid
-    acc.iterator.map(_.result()).toVector
-  }
+  lazy val children: Vector[Vector[Int]] = Graphs.children(numVersions, versions(_).parents)
 
   /** Whether any version has more than one parent (CUR-style DAG). */
   lazy val hasMerges: Boolean = versions.exists(_.parents.length > 1)
@@ -81,9 +77,5 @@ final case class VersionGraph(versions: Vector[Version]) {
     }.sum
 
   /** Children adjacency of the §5.3.1 version tree. */
-  lazy val treeChildren: Vector[Vector[Int]] = {
-    val acc = Array.fill(numVersions)(Vector.newBuilder[Int])
-    for (v <- versions; p = treeParent(v.vid); if p >= 0) acc(p) += v.vid
-    acc.iterator.map(_.result()).toVector
-  }
+  lazy val treeChildren: Vector[Vector[Int]] = Graphs.children(numVersions, v => List(treeParent(v)))
 }

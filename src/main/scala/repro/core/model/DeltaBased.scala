@@ -59,13 +59,13 @@ final class DeltaBased(spark: SparkSession, dir: Path) extends CvdStore(spark, d
     val ins = read(insDir, insLayout)
     val del = read(delDir, delLayout)
     var acc = ins.where(col("vid") === chain.head).drop("vid")
-    for (v <- chain.tail) {
+    for ((v, hop) <- chain.zipWithIndex.tail) {
       val dels = del.where(col("vid") === v).select("rid")
       acc = acc.join(dels, Seq("rid"), "left_anti")
         .unionByName(ins.where(col("vid") === v).drop("vid"))
       // Truncate lineage every few steps so the chained plan stays tractable
       // (the walk itself is the model's inherent cost).
-      if (chain.indexOf(v) % 8 == 7) acc = acc.localCheckpoint(true)
+      if (hop % 8 == 7) acc = acc.localCheckpoint(true)
     }
     acc.select("rid", attrCols(acc): _*)
   }

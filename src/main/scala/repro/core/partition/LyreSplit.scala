@@ -1,6 +1,6 @@
 package repro.core.partition
 
-import repro.core.VersionGraph
+import repro.core.{Graphs, VersionGraph}
 import scala.collection.mutable
 
 /** LyreSplit (Algorithm 5.1): recursive version-tree partitioning.
@@ -61,10 +61,8 @@ object LyreSplit {
     require(delta > 0 && delta <= 1, s"delta must be in (0,1], got $delta")
     val n = g.numVersions
     val parent = g.treeParent
-    val children = g.treeChildren
     val assignment = Array.fill(n)(-1)
     val frag = new Array[Int](n) // fragment id per vid; every tree starts as fragment 0
-    val order, pending = new Array[Int](n)
     val subV = new Array[Int](n)  // versions in the fragment's subtree at v
     val subR = new Array[Long](n) // Σ(sizeR − wPar) over that subtree
     val work = mutable.Stack.empty[(Int, Int)] // (fragment root, level)
@@ -74,14 +72,8 @@ object LyreSplit {
       val (root, level) = work.pop()
       maxLevel = math.max(maxLevel, level)
       // Members in pre-order: the subtree at order(i) is order(i until i + subV).
-      var m = 0
-      var top = 1
-      pending(0) = root
-      while (top > 0) {
-        top -= 1; val v = pending(top)
-        order(m) = v; m += 1
-        for (c <- children(v); if frag(c) == frag(root)) { pending(top) = c; top += 1 }
-      }
+      val order = Graphs.preorder(g.treeChildren, root, frag(_) == frag(root))
+      val m = order.length
       // Tree-semantic record count of the fragment (Eq 5.4).
       var eCount, rCount = 0L
       for (i <- 0 until m) {

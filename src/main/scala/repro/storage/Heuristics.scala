@@ -1,6 +1,6 @@
 package repro.storage
 
-import scala.collection.mutable
+import repro.core.Graphs
 
 /** The Chapter-7 heuristics (Table 7.1, §7.4).
   *
@@ -18,49 +18,35 @@ object Lmg {
     * materialize the version with the highest ratio of total-recreation
     * reduction to storage increase, while the budget allows.
     */
-  def minSumRecreation(g: DeltaGraph, beta: Double): StorageSolution = {
-    val start = if (g.directed) Spanning.edmonds(g) else Spanning.primMST(g)
-    greedy(g, start, stop = (c, _) => c > beta, budget = Some(beta))
-  }
+  def minSumRecreation(g: DeltaGraph, beta: Double): StorageSolution =
+    greedy(g, beta, theta = Double.NegativeInfinity)
 
   /** Problem 7.5: minimize C subject to ΣR_i ≤ theta — greedily
     * materialize by the same ratio until the recreation constraint holds.
     */
-  def minStorageSumRecreation(g: DeltaGraph, theta: Double): StorageSolution = {
-    val start = if (g.directed) Spanning.edmonds(g) else Spanning.primMST(g)
-    greedy(g, start, stop = (_, r) => r <= theta, budget = None)
-  }
+  def minStorageSumRecreation(g: DeltaGraph, theta: Double): StorageSolution =
+    greedy(g, beta = Double.PositiveInfinity, theta)
 
-  /** Greedy materialization loop shared by both LMG variants.
-    *
-    * @param stop   (storage, sumRecreation) => whether to stop *after*
-    *               checking (budget mode: stop when next move exceeds β;
-    *               threshold mode: stop when ΣR satisfied)
-    * @param budget Some(β) caps total storage of applied moves
+  /** Greedy materialization loop shared by both LMG variants, from
+    * [[Problems.minStorage]]: a move is taken only if storage stays within
+    * `beta`, and the loop stops once ΣR_i ≤ `theta` or no move helps.
     */
-  private def greedy(g: DeltaGraph, start: StorageSolution,
-                     stop: (Double, Double) => Boolean,
-                     budget: Option[Double]): StorageSolution = {
+  private def greedy(g: DeltaGraph, beta: Double, theta: Double): StorageSolution = {
     val n = g.n
-    val parent = start.parent.toArray
+    val parent = Problems.minStorage(g).parent.toArray
     var continue = true
     while (continue) {
       val sol = StorageSolution(parent.toVector)
       val storage = sol.storageCost(g)
       val recs = sol.recreationCosts(g)
-      val sumRec = recs.sum
-      if (budget.isEmpty && stop(storage, sumRec)) continue = false
+      if (recs.sum <= theta) continue = false
       else {
         // Subtree sizes (number of versions whose recreation path goes
-        // through each node): a breadth-first order from the root puts each
-        // node after its parent, so the reverse order adds every subtree
-        // into its parent after the subtree is complete, with no recursion.
-        val kids = sol.children
-        val order = new Array[Int](n + 1)
-        var (i, len) = (0, 1)
-        while (i < len) { for (c <- kids(order(i))) { order(len) = c; len += 1 }; i += 1 }
+        // through each node): a reverse pre-order sweep adds every subtree
+        // into its parent after the subtree is complete.
+        val order = Graphs.preorder(sol.children, 0)
         val subSize = Array.fill(n + 1)(1)
-        for (k <- len - 1 to 1 by -1) subSize(parent(order(k))) += subSize(order(k))
+        for (k <- n to 1 by -1) subSize(parent(order(k))) += subSize(order(k))
         subSize(0) -= 1
         // Candidate moves: materialize v (re-parent to 0).
         var bestV = -1; var bestRatio = 0.0
@@ -68,8 +54,7 @@ object Lmg {
           val dStorage = g.delta(0)(v) - g.delta(parent(v))(v)
           val dRecPer = recs(v - 1) - g.phi(0)(v) // per-subtree-node reduction
           val dRec = dRecPer * subSize(v)
-          val fits = budget.forall(b => storage + dStorage <= b)
-          if (dRec > 0 && fits) {
+          if (dRec > 0 && storage + dStorage <= beta) {
             val ratio = if (dStorage <= 0) Double.MaxValue else dRec / dStorage
             if (ratio > bestRatio) { bestRatio = ratio; bestV = v }
           }
@@ -148,8 +133,8 @@ object Last {
   def run(g: DeltaGraph, alpha: Double): StorageSolution = prepare(g)(alpha)
 
   /** LAST's α-independent part — the MST, the SPT with its distances d_SP
-    * and the MST's children — computed once; the returned function runs
-    * only the O(n) α-dependent DFS, so a search over α calls it per probe.
+    * and the MST's pre-order — computed once; the returned function runs
+    * only the O(n) α-dependent pass, so a search over α calls it per probe.
     */
   def prepare(g: DeltaGraph): Double => StorageSolution = {
     val n = g.n
@@ -157,30 +142,22 @@ object Last {
     val spt = Spanning.dijkstraSPT(g)
     val dsp = 0.0 +: spt.recreationCosts(g) // indexed by node
     val sptPar = spt.parent
-    val kids = mst.children
+    val order = Graphs.preorder(mst.children, 0)
 
     alpha => {
       require(alpha > 1, s"alpha must exceed 1, got $alpha")
       val par = mst.parent.toArray
       val d = Array.fill(n + 1)(Double.PositiveInfinity)
       d(0) = 0.0
-      // Explicit DFS stack; nextKid(v) indexes v's next MST child to enter.
-      val stack, nextKid = new Array[Int](n + 1)
-      var top = 0
-      while (top >= 0) {
-        val v = stack(top)
-        if (nextKid(v) == kids(v).length) top -= 1
-        else {
-          val c = kids(v)(nextKid(v))
-          nextKid(v) += 1
-          if (d(v) + g.sym(v, c) < d(c)) { d(c) = d(v) + g.sym(v, c); par(c) = v }
-          // Graft the shortest path to c, up to its first node already at
-          // shortest distance.
-          var x = c
-          if (d(c) > alpha * dsp(c)) while (x != 0 && d(x) > dsp(x)) {
-            d(x) = dsp(x); par(x) = sptPar(x); x = sptPar(x)
-          }
-          top += 1; stack(top) = c
+      // Enter each node from its MST parent, in the MST's pre-order.
+      for (c <- order.iterator.drop(1)) {
+        val v = mst.parent(c)
+        if (d(v) + g.sym(v, c) < d(c)) { d(c) = d(v) + g.sym(v, c); par(c) = v }
+        // Graft the shortest path to c, up to its first node already at
+        // shortest distance.
+        var x = c
+        if (d(c) > alpha * dsp(c)) while (x != 0 && d(x) > dsp(x)) {
+          d(x) = dsp(x); par(x) = sptPar(x); x = sptPar(x)
         }
       }
       StorageSolution(par.toVector)

@@ -1,5 +1,6 @@
 package repro.storage
 
+import repro.core.Graphs
 import scala.collection.mutable
 
 /** A storage solution: `parent(j)` is the node version j is stored as a
@@ -13,51 +14,31 @@ final case class StorageSolution(parent: Vector[Int]) {
   def storageCost(g: DeltaGraph): Double =
     (1 to n).iterator.map(j => g.delta(parent(j))(j)).sum
 
-  /** Recreation cost R_j = Σ Φ along the path from the root.
-    * Fails fast (IllegalStateException) on a cyclic parent map.
+  /** Recreation cost R_j = Σ Φ along the path from the root, filled in
+    * pre-order from node 0. Fails fast (IllegalStateException) on a cyclic
+    * parent map, naming the lowest node that node 0 does not reach.
     */
   def recreationCosts(g: DeltaGraph): Vector[Double] = {
-    val memo = Array.fill(n + 1)(Double.NaN)
-    memo(0) = 0.0
-    val path = new Array[Int](n + 1)
-    val onPath = new Array[Boolean](n + 1)
-    for (j0 <- 1 to n; if memo(j0).isNaN) {
-      // Walk up to a memoized ancestor, then unwind.
-      var len = 0
-      var j = j0
-      while (memo(j).isNaN) {
-        if (onPath(j))
-          throw new IllegalStateException(s"cycle in storage solution at node $j")
-        onPath(j) = true; path(len) = j; len += 1; j = parent(j)
-      }
-      for (v <- path.take(len).reverseIterator) memo(v) = memo(parent(v)) + g.phi(parent(v))(v)
+    val order = Graphs.preorder(children, 0)
+    if (order.length <= n) {
+      val reached = new Array[Boolean](n + 1)
+      order.foreach(reached(_) = true)
+      throw new IllegalStateException(s"cycle in storage solution at node ${reached.indexOf(false)}")
     }
-    (1 to n).toVector.map(memo(_))
+    val memo = new Array[Double](n + 1)
+    for (v <- order.iterator.drop(1)) memo(v) = memo(parent(v)) + g.phi(parent(v))(v)
+    memo.toVector.tail
   }
 
   def sumRecreation(g: DeltaGraph): Double = recreationCosts(g).sum
   def maxRecreation(g: DeltaGraph): Double = recreationCosts(g).max
 
   /** Children adjacency over nodes 0..n. */
-  def children: Vector[Vector[Int]] = {
-    val acc = Vector.fill(n + 1)(Vector.newBuilder[Int])
-    for (j <- 1 to n) acc(parent(j)) += j
-    acc.map(_.result())
-  }
+  lazy val children: Vector[Vector[Int]] =
+    Graphs.children(n + 1, j => if (j == 0) Nil else List(parent(j)))
 
   /** Validity: every version reachable from node 0 (acyclic parent map). */
-  def isValid: Boolean = {
-    val seen = Array.fill(n + 1)(0) // 0 unvisited, 1 on the current walk, 2 reaches node 0
-    seen(0) = 2
-    (1 to n).forall { j0 =>
-      var j = j0
-      while (seen(j) == 0) { seen(j) = 1; j = parent(j) }
-      val ok = seen(j) == 2
-      j = j0
-      while (seen(j) == 1) { seen(j) = 2; j = parent(j) }
-      ok
-    }
-  }
+  def isValid: Boolean = Graphs.preorder(children, 0).length == n + 1
 }
 
 /** Spanning-structure algorithms of §7.2–7.3: minimum spanning tree

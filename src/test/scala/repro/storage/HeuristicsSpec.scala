@@ -130,21 +130,30 @@ class HeuristicsSpec extends AnyFunSuite {
       Spanning.primMST(und).sumRecreation(und))
   }
 
-  test("LMG plans a 2,000-deep storage tree on a thread with the default stack") {
+  test("LMG and LAST plan a 4,000-deep storage tree on a 256 KB stack") {
     // A path: each version is one record from the next and costs 100 to
-    // materialize, so the MST is one chain 2,000 deep. Δ = Φ.
-    val n = 2000
+    // materialize, so the MST is one chain 4,000 deep. Δ = Φ. Δ is dense,
+    // (n + 1)² doubles, which bounds the depth; the small stack makes a
+    // walk that recursed once per level overflow at this depth.
+    val n = 4000
     val cost = Array.fill(n + 1, n + 1)(Double.PositiveInfinity)
     for (j <- 1 to n) { cost(0)(j) = 100; cost(j)(j) = 0 }
     for (j <- 1 until n) { cost(j)(j + 1) = 1; cost(j + 1)(j) = 1 }
     val g = new DeltaGraph(n, cost, cost, directed = false)
-    val mst = Spanning.primMST(g)
-    val beta = 1.2 * mst.storageCost(g)
-    var out: Either[Throwable, StorageSolution] = Left(new IllegalStateException("not run"))
-    val t = new Thread(() => out = try Right(Lmg.minSumRecreation(g, beta)) catch { case e: Throwable => Left(e) })
-    t.start(); t.join()
-    val sol = out.fold(e => fail(s"LMG threw $e"), identity)
-    assert(sol.isValid && sol.storageCost(g) <= beta + 1e-6)
-    assert(sol.sumRecreation(g) < mst.sumRecreation(g))
+    SpanningSpec.onThread(stackBytes = 256 * 1024) {
+      val mst = Spanning.primMST(g)
+      val beta = 1.2 * mst.storageCost(g)
+      val theta = 0.5 * mst.sumRecreation(g)
+      val lmg = Lmg.minSumRecreation(g, beta)
+      assert(lmg.isValid && lmg.storageCost(g) <= beta + 1e-6)
+      assert(lmg.sumRecreation(g) < mst.sumRecreation(g))
+      val lmgTheta = Lmg.minStorageSumRecreation(g, theta)
+      assert(lmgTheta.isValid && lmgTheta.sumRecreation(g) <= theta)
+      // The SPT materializes every version, so LAST(2) grafts one back
+      // whenever the MST path passes 200.
+      val last = Last.run(g, 2.0)
+      assert(last.isValid && last.maxRecreation(g) <= 200)
+      assert(last.storageCost(g) < Spanning.dijkstraSPT(g).storageCost(g))
+    }
   }
 }

@@ -1,7 +1,8 @@
 package repro.storage
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.IntervalSet
+import repro.core.{IntervalSet, Version, VersionGraph}
+import repro.core.partition.LyreSplit
 import scala.util.Random
 
 /** Exact-algorithm checks against brute-force enumeration of all valid
@@ -36,18 +37,38 @@ class SpanningSpec extends AnyFunSuite {
     assert(StorageSolution(Vector(-1, 0, 1, 2)).isValid)
   }
 
-  test("isValid walks a 100,000-node chain without recursion") {
+  test("tree walks take a 100,000-deep chain on a thread with the default stack") {
     // Node j is a delta from j + 1 and node n is materialized, so the walk
-    // from node 1 is n deep.
+    // from node 1 is n deep. Every Δ and Φ is 1: all nodes share one row.
     val n = 100000
-    assert(StorageSolution(-1 +: Vector.tabulate(n)(j => if (j + 1 == n) 0 else j + 2)).isValid)
-    assert(!StorageSolution(-1 +: Vector.tabulate(n)(j => if (j + 1 == n) 1 else j + 2)).isValid)
+    val chain = StorageSolution(-1 +: Vector.tabulate(n)(j => if (j + 1 == n) 0 else j + 2))
+    val ones = Array.fill(n + 1)(1.0)
+    val g = new DeltaGraph(n, Array.fill(n + 1)(ones), Array.fill(n + 1)(ones), directed = false)
+    // A version chain as deep: each version keeps 90 of its parent's 100 records.
+    val versions = VersionGraph(Vector.tabulate(n) { i =>
+      Version(i, if (i == 0) Vector.empty else Vector(i - 1), IntervalSet.range(10L * i, 10L * i + 99), i.toLong)
+    })
+    SpanningSpec.onThread() {
+      assert(chain.isValid)
+      assert(!StorageSolution(-1 +: Vector.tabulate(n)(j => if (j + 1 == n) 1 else j + 2)).isValid)
+      val rc = chain.recreationCosts(g)
+      assert(rc.head == n && rc.last == 1)
+      val r = LyreSplit.run(versions, 0.1)
+      assert(r.scheme.numVersions == n && r.scheme.numPartitions > 1)
+    }
   }
 
   test("recreationCosts rejects a cyclic parent map, naming the node") {
     val g = DeltaGraph.fromRecordSets(randomSets(3, 1), DeltaMode.Undirected)
     val e = intercept[IllegalStateException](StorageSolution(Vector(-1, 2, 3, 1)).recreationCosts(g))
     assert(e.getMessage.contains("at node 1"))
+  }
+
+  test("recreationCosts names the lowest unreached node, one hanging off a cycle") {
+    // Node 1 is a delta from node 2, which sits on the cycle 2 ↔ 3.
+    val g = DeltaGraph.fromRecordSets(randomSets(3, 1), DeltaMode.Undirected)
+    val e = intercept[IllegalStateException](StorageSolution(Vector(-1, 2, 3, 2)).recreationCosts(g))
+    assert(e.getMessage == "cycle in storage solution at node 1")
   }
 
   for (seed <- 0 until 5) {
@@ -98,5 +119,23 @@ class SpanningSpec extends AnyFunSuite {
     val mst = Spanning.primMST(g).storageCost(g)
     val spt = Spanning.dijkstraSPT(g).storageCost(g)
     assert(mst <= spt + 1e-9)
+  }
+}
+
+object SpanningSpec {
+
+  /** Runs `body` on a new thread with a stack of `stackBytes` (0: the JVM's
+    * default) and rethrows what it threw; a StackOverflowError fails the
+    * test rather than aborting the suite.
+    */
+  def onThread[T](stackBytes: Long = 0)(body: => T): T = {
+    var out: Either[Throwable, T] = Left(new IllegalStateException("not run"))
+    val run: Runnable = () => out = try Right(body) catch { case e: Throwable => Left(e) }
+    val t = new Thread(null, run, "tree-walk", stackBytes)
+    t.start(); t.join()
+    out.fold({
+      case e: VirtualMachineError => throw new AssertionError(e)
+      case e => throw e
+    }, identity)
   }
 }
