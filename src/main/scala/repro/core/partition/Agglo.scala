@@ -1,6 +1,6 @@
 package repro.core.partition
 
-import repro.core.{IntervalSet, VersionGraph}
+import repro.core.{Bisect, IntervalSet, VersionGraph}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -10,7 +10,7 @@ import scala.util.Random
   *
   * Each partition carries a shingle signature (min-hashes of its record
   * set); partitions are ordered by shingles and each one only considers
-  * its following `lookahead` partitions as merge candidates, merging when
+  * its following 100 partitions as merge candidates, merging when
   * common shingles exceed a sampled threshold τ and the merged record
   * count stays within capacity `bc`. Works on the full record sets (the
   * bipartite graph) — hence far slower than LyreSplit, as in the paper.
@@ -18,12 +18,15 @@ import scala.util.Random
 object Agglo {
 
   private val NumShingles = 16
+  private val Lookahead = 100 // merge candidates per partition
+  private val Seed = 7L       // of τ's sample and the min-hashes
+  private val BudgetSteps = 10
 
-  private def shingles(records: IntervalSet, rng: Long): Vector[Long] = {
+  private def shingles(records: IntervalSet): Vector[Long] = {
     // Min-hash over all rids (O(|R(v)|) per version — bipartite-graph work).
     val heap = mutable.PriorityQueue.empty[Long] // max-heap keeps k smallest
     for ((s, e) <- records.intervals; r <- s to e) {
-      val h = scala.util.hashing.byteswap64(r ^ rng)
+      val h = scala.util.hashing.byteswap64(r ^ Seed)
       if (heap.size < NumShingles) heap += h
       else if (h < heap.head) { heap.dequeue(); heap += h }
     }
@@ -31,11 +34,11 @@ object Agglo {
   }
 
   /** Run one agglomerative pass with partition capacity `bc` (records). */
-  def run(g: VersionGraph, bc: Long, lookahead: Int = 100, seed: Long = 7): PartitionScheme = {
-    val rng = new Random(seed)
+  def run(g: VersionGraph, bc: Long): PartitionScheme = {
+    val rng = new Random(Seed)
     final case class Part(members: List[Int], records: IntervalSet, sig: Vector[Long])
     var parts: Vector[Part] = g.versions.map { v =>
-      Part(List(v.vid), v.records, shingles(v.records, seed))
+      Part(List(v.vid), v.records, shingles(v.records))
     }
 
     def common(a: Vector[Long], b: Vector[Long]): Int = a.toSet.intersect(b.toSet).size
@@ -61,7 +64,7 @@ object Agglo {
         used(i) = true
         var cur = parts(i)
         var j = i + 1
-        val limit = math.min(parts.length, i + 1 + lookahead)
+        val limit = math.min(parts.length, i + 1 + Lookahead)
         var bestJ = -1; var bestCommon = -1
         while (j < limit) {
           if (!used(j)) {
@@ -76,7 +79,7 @@ object Agglo {
         if (bestJ >= 0) {
           val o = parts(bestJ); used(bestJ) = true
           val u = cur.records.union(o.records)
-          cur = Part(cur.members ++ o.members, u, shingles(u, seed))
+          cur = Part(cur.members ++ o.members, u, shingles(u))
           changed = true
         }
         merged += cur
@@ -89,27 +92,19 @@ object Agglo {
     PartitionScheme(assignment.toVector).compact
   }
 
-  /** Binary search on capacity BC to meet a storage budget (Problem 5.1). */
-  def forBudget(g: VersionGraph, gamma: Long, iters: Int = 10): PartitionScheme = {
-    var lo = g.numBipartiteEdges.toDouble / g.numVersions   // ~avg version size
-    var hi = g.numRecords.toDouble * 2
-    var best = PartitionScheme.perVersion(g.numVersions)
-    var bestC = CostModel.avgCheckoutCost(g, best)
-    var bestFeasible = CostModel.storageCost(g, best) <= gamma
-    for (_ <- 0 until iters) {
-      val mid = (lo + hi) / 2
-      val s = run(g, mid.toLong)
-      val cost = CostModel.storageCost(g, s)
-      // Larger BC ⇒ fewer, bigger partitions ⇒ less duplication (smaller S)
-      // but higher checkout cost; shrink BC while the budget holds.
-      if (cost <= gamma) {
-        val c = CostModel.avgCheckoutCost(g, s)
-        if (!bestFeasible || c < bestC) { best = s; bestC = c; bestFeasible = true }
-        hi = mid
-      } else {
-        lo = mid
-      }
-    }
-    best
+  /** Binary search on capacity BC for Problem 5.1, by
+    * [[CostModel.cheapestWithin]] from the per-version scheme. Larger BC ⇒
+    * fewer, bigger partitions ⇒ less duplication (smaller S) but higher
+    * checkout cost, so a fitting BC moves the search down. When nothing
+    * fits, returns the single-partition scheme.
+    */
+  def forBudget(g: VersionGraph, gamma: Long): PartitionScheme = {
+    def sized(s: PartitionScheme) = (s, CostModel.partitionSizes(g, s))
+    val fits = Bisect.fitting(g.numBipartiteEdges.toDouble / g.numVersions,
+      g.numRecords.toDouble * 2, BudgetSteps, upOnFit = false)(
+      bc => sized(run(g, bc.toLong)))(_._2.sum <= gamma)
+    CostModel.cheapestWithin(gamma,
+      Iterator(sized(PartitionScheme.perVersion(g.numVersions))) ++ fits)(identity)
+      .getOrElse(PartitionScheme.single(g.numVersions))
   }
 }

@@ -45,6 +45,17 @@ object PartitionScheme {
   */
 object CostModel {
 
+  /** Problem 5.1's one selection rule, for `LyreSplit`, `Agglo` and
+    * `KMeansPart` `.forBudget`: the first scheme of least C_avg among the
+    * search's start scheme and its probes whose S fits `gamma`. `None` when
+    * none fits; the caller then takes the single partition (S = |R|, the
+    * least of any scheme). Each candidate comes with its sizes |R_k|.
+    */
+  def cheapestWithin[A](gamma: Long, candidates: Iterator[(A, Vector[Long])])(
+      scheme: A => PartitionScheme): Option[A] =
+    candidates.filter(_._2.sum <= gamma)
+      .minByOption { case (a, sizes) => avgCheckoutCost(scheme(a), sizes) }.map(_._1)
+
   /** Record set of one partition: union of member versions' records. */
   def partitionRecords(g: VersionGraph, members: Seq[Int]): IntervalSet =
     IntervalSet.unionAll(members.map(v => g.versions(v).records))

@@ -15,11 +15,15 @@ import scala.util.Random
   */
 object KMeansPart {
 
-  /** Run with `k` partitions and `iters` refinement iterations. */
-  def run(g: VersionGraph, k: Int, iters: Int = 10, seed: Long = 11): PartitionScheme = {
+  private val Iters = 10 // refinement passes
+  private val Seed = 11L
+  private val BudgetSteps = 6
+
+  /** Run with `k` partitions. */
+  def run(g: VersionGraph, k: Int): PartitionScheme = {
     val n = g.numVersions
     require(k >= 1 && k <= n)
-    val rng = new Random(seed)
+    val rng = new Random(Seed)
     val records = g.versions.map(_.records)
 
     // Seed with K distinct random versions.
@@ -44,7 +48,7 @@ object KMeansPart {
     // total record count across partitions (greedy, one pass per iter).
     // Moving v from cur to p changes S by |R(v)\centroid(p)| − excl(v),
     // where excl(v) is the records only v contributes to cur.
-    for (_ <- 0 until iters) {
+    for (_ <- 0 until Iters) {
       val excl = (0 until k).flatMap { p =>
         exclusiveSizes((0 until n).filter(assignment(_) == p), records)
       }.toMap
@@ -89,27 +93,23 @@ object KMeansPart {
     acc.toMap
   }
 
-  /** Binary search on K for Problem 5.1 (larger K ⇒ more storage, less
-    * checkout cost).
+  /** Integer binary search on K for Problem 5.1 (larger K ⇒ more storage,
+    * less checkout cost; lo = K + 1 on a fit, else hi = K − 1), by
+    * [[CostModel.cheapestWithin]] from the single partition. When nothing
+    * fits (γ < |R|), returns the single partition.
     */
-  def forBudget(g: VersionGraph, gamma: Long, iters: Int = 6, seed: Long = 11): PartitionScheme = {
-    var lo = 1
-    var hi = g.numVersions
-    var best = PartitionScheme.single(g.numVersions)
-    var bestC = CostModel.avgCheckoutCost(g, best)
-    var bestFeasible = CostModel.storageCost(g, best) <= gamma
-    for (_ <- 0 until iters) {
+  def forBudget(g: VersionGraph, gamma: Long): PartitionScheme = {
+    val single = PartitionScheme.single(g.numVersions)
+    var (lo, hi) = (1, g.numVersions)
+    val probes = Iterator.fill(BudgetSteps) {
       val mid = (lo + hi) / 2
-      val s = run(g, math.max(1, mid), seed = seed)
-      val cost = CostModel.storageCost(g, s)
-      if (cost <= gamma) {
-        val c = CostModel.avgCheckoutCost(g, s)
-        if (!bestFeasible || c < bestC) { best = s; bestC = c; bestFeasible = true }
-        lo = mid + 1
-      } else {
-        hi = mid - 1
-      }
+      val s = run(g, math.max(1, mid))
+      val sizes = CostModel.partitionSizes(g, s)
+      if (sizes.sum <= gamma) lo = mid + 1 else hi = mid - 1
+      (s, sizes)
     }
-    best
+    CostModel.cheapestWithin(gamma,
+      Iterator((single, CostModel.partitionSizes(g, single))) ++ probes)(identity)
+      .getOrElse(single)
   }
 }

@@ -1,6 +1,6 @@
 package repro.core.partition
 
-import repro.core.{Graphs, VersionGraph}
+import repro.core.{Bisect, Graphs, VersionGraph}
 import scala.collection.mutable
 
 /** LyreSplit (Algorithm 5.1): recursive version-tree partitioning.
@@ -18,6 +18,8 @@ object LyreSplit {
 
   /** Result of one run: the scheme plus the recursion depth ℓ. */
   final case class Result(scheme: PartitionScheme, recursionLevels: Int)
+
+  private val BudgetSteps = 20
 
   /** Run Algorithm 5.1 with splitting parameter `delta` ∈ (0, 1]. */
   def run(g: VersionGraph, delta: Double): Result = {
@@ -113,37 +115,24 @@ object LyreSplit {
   }
 
   /** §5.2 binary search on δ for Problem 5.1: minimize C_avg subject to
-    * S ≤ gamma (exact storage cost). Returns the best feasible scheme
-    * found; falls back to the single-partition scheme (S = |R| — always
-    * feasible when γ ≥ |R|).
+    * S ≤ gamma (exact storage cost), by [[CostModel.cheapestWithin]]. A
+    * fitting δ moves the search up (more partitions, less checkout cost),
+    * and the search stops at the first fitting δ with S ≥ 0.99γ. When
+    * nothing fits (γ < |R|), returns the single-partition scheme.
     */
-  def forBudget(g: VersionGraph, gamma: Long, iters: Int = 20): Result = {
+  def forBudget(g: VersionGraph, gamma: Long): Result = {
     val n = g.numVersions
     val (sizeR, wPar) = recordWeights(g)
-    var lo = g.numBipartiteEdges.toDouble /
+    def sized(r: Result) = (r, CostModel.partitionSizes(g, r.scheme))
+    val lo = g.numBipartiteEdges.toDouble /
       ((g.numRecords + g.numDuplicatedRecords).toDouble * n)
-    var hi = 1.0
-    var best = Result(PartitionScheme.single(n), 0)
-    var bestC = CostModel.avgCheckoutCost(g, best.scheme)
-    var it = 0
-    var continue = true
-    while (it < iters && continue) {
-      val mid = (lo + hi) / 2
-      val r = runCore(g, mid, sizeR, wPar)
-      val sizes = CostModel.partitionSizes(g, r.scheme)
-      val s = sizes.sum
-      if (s <= gamma) {
-        val c = CostModel.avgCheckoutCost(r.scheme, sizes)
-        if (c < bestC) { bestC = c; best = r }
-        // Feasible: try a larger δ (more partitions, less checkout cost).
-        lo = mid
-        if (s >= 0.99 * gamma) continue = false
-      } else {
-        hi = mid
-      }
-      it += 1
-    }
-    best
+    val fits = Bisect.fitting(lo, 1.0, BudgetSteps, upOnFit = true)(
+      delta => sized(runCore(g, delta, sizeR, wPar)))(_._2.sum <= gamma)
+    val untilFull = Iterator.unfold(true)(more =>
+      Option.when(more && fits.hasNext)(fits.next()).map(p => (p, p._2.sum < 0.99 * gamma)))
+    val single = Result(PartitionScheme.single(n), 0)
+    CostModel.cheapestWithin(gamma, Iterator(sized(single)) ++ untilFull)(_.scheme)
+      .getOrElse(single)
   }
 
   /** §5.3.2 weighted case: duplicate each version f_i times along a chain,

@@ -108,8 +108,7 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
       dataOf(pid).select(explode(Membership.route(members)) as "vid", col("*"))
     }.reduce(_ unionByName _)
 
-  /** Execute a migration to `newScheme` following `plan`; returns wall
-    * seconds spent rewriting partition data.
+  /** Execute a migration to `newScheme` following `plan`.
     *
     * Each new partition is built from old partition files only. The driver
     * splits its records with IntervalSet algebra into takes (old pid, new
@@ -130,10 +129,9 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
     * the plan does not assign each new partition exactly once or maps an old
     * partition that does not exist or that another assignment maps.
     */
-  def migrate(newScheme: PartitionScheme, plan: Migration.Plan): Double = {
+  def migrate(newScheme: PartitionScheme, plan: Migration.Plan): Unit = {
     require(newScheme.numVersions == scheme.numVersions)
     validate(newScheme, plan)
-    val t0 = System.nanoTime()
     val old = scheme.versionsOf.map(partitionRecords)
     val takes = Vector.newBuilder[(Int, (Int, IntervalSet))] // (old pid, (new pid, rids))
     val reused = Vector.newBuilder[(Int, Int)]            // (old pid, new pid)
@@ -172,7 +170,6 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
     }
     CvdStore.deleteRecursively(staging)
     scheme = newScheme
-    (System.nanoTime() - t0) / 1e9
   }
 
   /** Rejects a plan that does not assign each of `newScheme`'s partitions

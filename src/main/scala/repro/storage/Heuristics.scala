@@ -1,6 +1,6 @@
 package repro.storage
 
-import repro.core.Graphs
+import repro.core.{Bisect, Graphs}
 
 /** The Chapter-7 heuristics (Table 7.1, §7.4).
   *
@@ -100,23 +100,14 @@ object ModifiedPrim {
     StorageSolution(par.toVector)
   }
 
-  /** Problem 7.6 search wrapper: given theta, run MP directly; for
-    * Problem 7.4 (budget β on storage, minimize max recreation), binary
-    * search theta to the smallest value whose MP solution fits in β.
+  /** Problem 7.4 (directed; budget β on storage, minimize max
+    * recreation): binary search θ, from max_j Φ(0,j) up, to the smallest
+    * value whose MP solution fits in β. Problem 7.6 runs MP directly.
     */
-  def minMaxRecreationUnderBudget(g: DeltaGraph, beta: Double,
-                                  iters: Int = 30): StorageSolution = {
-    val lo0 = (1 to g.n).map(j => g.phi(0)(j)).max
-    val hi0 = Spanning.primMST(g).maxRecreation(g) + lo0
-    var lo = lo0; var hi = math.max(hi0, lo0)
-    var best = run(g, hi)
-    for (_ <- 0 until iters) {
-      val mid = (lo + hi) / 2
-      val sol = run(g, mid)
-      if (sol.storageCost(g) <= beta) { best = sol; hi = mid }
-      else lo = mid
-    }
-    best
+  def minMaxRecreationUnderBudget(g: DeltaGraph, beta: Double): StorageSolution = {
+    val lo = (1 to g.n).map(j => g.phi(0)(j)).max
+    Bisect.lastFit(lo, Spanning.primMST(g).maxRecreation(g) + lo, 30, upOnFit = false)(
+      run(g, _))(_.storageCost(g) <= beta)
   }
 }
 

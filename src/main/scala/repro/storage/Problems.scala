@@ -1,5 +1,7 @@
 package repro.storage
 
+import repro.core.Bisect
+
 /** Dispatch for the six problem variants of Table 7.1, plus an exact
   * brute-force solver used as the test-time optimality yardstick in place
   * of the paper's ILP (DESIGN.md §4).
@@ -18,50 +20,30 @@ object Problems {
     Lmg.minSumRecreation(g, beta)
 
   /** Problem 7.4: minimize max R_i s.t. C ≤ beta.
-    * Undirected: LAST with α chosen by binary search to fit β;
-    * directed: MP with θ-binary search.
+    * Undirected: LAST with the smallest α whose storage fits β (a smaller α
+    * gives shorter paths and more storage); directed: MP with θ-binary
+    * search.
     */
   def minMaxRecreation(g: DeltaGraph, beta: Double): StorageSolution =
     if (g.directed) ModifiedPrim.minMaxRecreationUnderBudget(g, beta)
-    else lastForBudget(g, beta)
+    else lastSearch(g, upOnFit = false)(_.storageCost(g) <= beta)
 
   /** Problem 7.5: minimize C s.t. ΣR_i ≤ theta. */
   def minStorageSumRecreation(g: DeltaGraph, theta: Double): StorageSolution =
     Lmg.minStorageSumRecreation(g, theta)
 
   /** Problem 7.6: minimize C s.t. max R_i ≤ theta.
-    * Undirected: LAST with the largest α meeting θ; directed: MP.
+    * Undirected: LAST with the largest α (cheapest tree) meeting θ;
+    * directed: MP.
     */
   def minStorageMaxRecreation(g: DeltaGraph, theta: Double): StorageSolution =
     if (g.directed) ModifiedPrim.run(g, theta)
-    else {
-      // Find the largest α (cheapest tree) whose max recreation meets θ.
-      val last = Last.prepare(g)
-      var lo = 1.000001; var hi = 64.0
-      var best: Option[StorageSolution] = None
-      for (_ <- 0 until 40) {
-        val mid = (lo + hi) / 2
-        val sol = last(mid)
-        if (sol.maxRecreation(g) <= theta) { best = Some(sol); lo = mid }
-        else hi = mid
-      }
-      best.getOrElse(last(1.000001))
-    }
+    else lastSearch(g, upOnFit = true)(_.maxRecreation(g) <= theta)
 
-  private def lastForBudget(g: DeltaGraph, beta: Double): StorageSolution = {
-    // Smaller α ⇒ shorter paths, more storage. Binary search the smallest
-    // α whose storage fits β.
-    val last = Last.prepare(g)
-    var lo = 1.000001; var hi = 64.0
-    var best = last(hi)
-    for (_ <- 0 until 40) {
-      val mid = (lo + hi) / 2
-      val sol = last(mid)
-      if (sol.storageCost(g) <= beta) { best = sol; hi = mid }
-      else lo = mid
-    }
-    best
-  }
+  /** LAST's α search: 40 probes over [1.000001, 64] of one [[Last.prepare]]. */
+  private def lastSearch(g: DeltaGraph, upOnFit: Boolean)(
+      fits: StorageSolution => Boolean): StorageSolution =
+    Bisect.lastFit(1.000001, 64.0, 40, upOnFit)(Last.prepare(g))(fits)
 
   /** Exhaustive search over all valid parent assignments (n ≤ 8 or so):
     * returns the solution minimizing `objective`, subject to `feasible`.

@@ -35,6 +35,13 @@ class BaselinesSpec extends AnyFunSuite {
     assert(CostModel.storageCost(g, s) <= gamma)
   }
 
+  test("with γ below |R| nothing fits, and every partitioner returns the single partition") {
+    val gamma = g.numRecords - 1
+    assert(Agglo.forBudget(g, gamma) == PartitionScheme.single(g.numVersions))
+    assert(KMeansPart.forBudget(g, gamma) == PartitionScheme.single(g.numVersions))
+    assert(LyreSplit.forBudget(g, gamma).scheme == PartitionScheme.single(g.numVersions))
+  }
+
   test("KMeans produces a complete, valid assignment") {
     val s = KMeansPart.run(g, k = 5)
     assert(s.assignment.length == g.numVersions)
