@@ -9,17 +9,19 @@ import org.apache.parquet.hadoop.api.WriteSupport
 import org.apache.parquet.hadoop.metadata.CompressionCodecName
 import org.apache.parquet.hadoop.util.HadoopOutputFile
 import org.apache.parquet.io.OutputFile
-import org.apache.parquet.io.api.RecordConsumer
-import org.apache.parquet.schema.{MessageType, MessageTypeParser}
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.expressions.UnsafeArrayData
+import org.apache.spark.sql.execution.datasources.parquet.ParquetWriteSupport
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.types._
 import scala.collection.mutable
 
 /** The version-record bipartite graph E as Spark relations: the one path
   * from driver-side [[IntervalSet]]s to DataFrames, its inverse, the one
-  * version-overlap computation, and the driver's writer of versioning
-  * tables.
+  * version-overlap computation, and the driver's Parquet writer, which
+  * writes versioning tables and a commit's fresh records.
   */
 object Membership {
 
@@ -89,72 +91,59 @@ object Membership {
 
   /** Write one (vid, rlist) versioning row per set of `sets`, in their
     * order, its rlist the set's rids in ascending order: one Parquet file
-    * added to the table at `dir`. The driver streams the intervals into the
-    * file through parquet-hadoop, with Spark's own layout for
-    * [[VersioningSchema]], so no Spark job runs. The file is written under
-    * a hidden name, which readers skip, and renamed into place when it is
+    * added to the table at `dir` by [[writeRows]].
+    */
+  def writeRlists(spark: SparkSession, dir: String, sets: Seq[(Int, IntervalSet)]): Unit =
+    writeRows(spark, dir, VersioningSchema,
+      sets.iterator.map { case (vid, s) => InternalRow(vid, UnsafeArrayData.fromPrimitiveArray(ridArray(s))) })
+
+  /** `s`'s rids in ascending order. */
+  private def ridArray(s: IntervalSet): Array[Long] = {
+    val out = new Array[Long](Math.toIntExact(s.size))
+    var i = 0
+    for ((a, b) <- s.intervals) {
+      var r = a
+      while (r <= b) { out(i) = r; i += 1; r += 1 }
+    }
+    out
+  }
+
+  /** Write `rows`, each an `InternalRow` of `schema`, in their order: one
+    * Parquet file added to the table at `dir`. The driver streams the rows
+    * into the file through parquet-hadoop and Spark's own
+    * `ParquetWriteSupport`, configured from the session as a Spark write
+    * configures it, so the file and its footer are laid out as Spark
+    * writes `schema`, and no Spark job runs. The file is written under a
+    * hidden name, which readers skip, and renamed into place when it is
     * complete, so a write that fails leaves no visible file.
     */
-  def writeRlists(spark: SparkSession, dir: String, sets: Seq[(Int, IntervalSet)]): Unit = {
-    val conf = spark.sparkContext.hadoopConfiguration
+  def writeRows(spark: SparkSession, dir: String, schema: StructType, rows: Iterator[InternalRow]): Unit = {
+    val conf = new Configuration(spark.sparkContext.hadoopConfiguration)
+    ParquetWriteSupport.setSchema(schema, conf)
+    for (key <- WriteSettings) conf.set(key, spark.conf.get(key))
     val name = s"part-00000-${UUID.randomUUID}-c000.snappy.parquet"
     val (tmp, file) = (new Path(dir, s".$name.tmp"), new Path(dir, name))
     val fs = file.getFileSystem(conf)
     try {
-      val out = new RlistWriter(HadoopOutputFile.fromPath(tmp, conf))
+      val out = new RowWriter(HadoopOutputFile.fromPath(tmp, conf))
         .withConf(conf).withCompressionCodec(CompressionCodecName.SNAPPY).build()
-      try sets.foreach(out.write) finally out.close()
+      try rows.foreach(out.write) finally out.close()
       if (!fs.rename(tmp, file)) throw new IOException(s"could not rename $tmp to $file")
     } catch { case e: Throwable => fs.delete(tmp, false); throw e }
   }
 
-  /** Parquet's message type for [[VersioningSchema]], as Spark writes it. */
-  private[core] val RlistMessage: MessageType = MessageTypeParser.parseMessageType(
-    """message spark_schema {
-      |  optional int32 vid;
-      |  optional group rlist (LIST) { repeated group list { optional int64 element; } }
-      |}""".stripMargin)
-
-  /** Builds the `ParquetWriter` of (vid, set) rows to `file`. */
-  private final class RlistWriter(file: OutputFile)
-      extends ParquetWriter.Builder[(Int, IntervalSet), RlistWriter](file) {
-    override protected def self(): RlistWriter = this
-    override protected def getWriteSupport(conf: Configuration): WriteSupport[(Int, IntervalSet)] =
-      new RlistWriteSupport
-  }
-
-  /** Writes a (vid, set) pair as a [[RlistMessage]] record, the set's rids
-    * in ascending order. The footer carries the Spark schema, as in a file
-    * Spark writes.
+  /** The session settings `ParquetWriteSupport` reads from the Hadoop
+    * configuration, which a Spark write copies there.
     */
-  private final class RlistWriteSupport extends WriteSupport[(Int, IntervalSet)] {
-    private var out: RecordConsumer = _
+  private val WriteSettings = Seq(SQLConf.PARQUET_WRITE_LEGACY_FORMAT, SQLConf.PARQUET_OUTPUT_TIMESTAMP_TYPE,
+    SQLConf.PARQUET_FIELD_ID_WRITE_ENABLED, SQLConf.LEGACY_PARQUET_NANOS_AS_LONG,
+    SQLConf.PARQUET_ANNOTATE_VARIANT_LOGICAL_TYPE).map(_.key)
 
-    override def init(conf: Configuration): WriteSupport.WriteContext = new WriteSupport.WriteContext(
-      RlistMessage, java.util.Map.of("org.apache.spark.sql.parquet.row.metadata", VersioningSchema.json))
-
-    override def prepareForWrite(c: RecordConsumer): Unit = out = c
-
-    override def write(row: (Int, IntervalSet)): Unit = {
-      val (vid, s) = row
-      out.startMessage()
-      out.startField("vid", 0); out.addInteger(vid); out.endField("vid", 0)
-      out.startField("rlist", 1); out.startGroup()
-      if (!s.isEmpty) {
-        out.startField("list", 0)
-        for ((a, b) <- s.intervals) {
-          var r = a
-          while (r <= b) {
-            out.startGroup(); out.startField("element", 0); out.addLong(r); out.endField("element", 0)
-            out.endGroup()
-            r += 1
-          }
-        }
-        out.endField("list", 0)
-      }
-      out.endGroup(); out.endField("rlist", 1)
-      out.endMessage()
-    }
+  /** Builds the `ParquetWriter` of `InternalRow`s to `file`. */
+  private final class RowWriter(file: OutputFile) extends ParquetWriter.Builder[InternalRow, RowWriter](file) {
+    override protected def self(): RowWriter = this
+    override protected def getWriteSupport(conf: Configuration): WriteSupport[InternalRow] =
+      new ParquetWriteSupport
   }
 
   /** Each version's record set from a (vid, rid) membership relation:

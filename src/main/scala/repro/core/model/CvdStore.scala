@@ -3,11 +3,13 @@ package repro.core.model
 import com.google.common.collect.MapMaker
 import java.nio.file.{Files, Path}
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
+import org.apache.spark.sql.catalyst.expressions.{Ascending, BoundReference, InterpretedOrdering, SortOrder}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.StructType
+import org.apache.spark.sql.types.{LongType, StructType}
 import repro.core.{IntervalSet, Membership, VersionGraph}
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
 /** A collaborative versioned dataset (CVD) store — Chapter 4.
   *
@@ -60,7 +62,8 @@ abstract class CvdStore(val spark: SparkSession, val dir: Path) {
     * are assigned fresh rids (the paper's no-cross-version-diff rule:
     * the committed table is only compared against its parents, which the
     * middleware did at checkout time by retaining rids on unmodified
-    * rows). Returns the new vid.
+    * rows). Returns the new vid. One Spark job reads `table`
+    * ([[assignRids]]); the layout's `write` does the rest.
     *
     * Throws `IllegalArgumentException`, before anything is written, when
     * the table's (column, type) set is not the store's record schema, a
@@ -73,8 +76,9 @@ abstract class CvdStore(val spark: SparkSession, val dir: Path) {
       if (got != want) throw new IllegalArgumentException(
         s"commit rejected: columns (${got.mkString(", ")}) are not the store's (${want.mkString(", ")})")
     }
-    val c = assignRids(table, parents)
-    if (schema.isEmpty) schema = Some(recordSchemaOf(c.table))
+    val s = schema.getOrElse(recordSchemaOf(table.schema))
+    val c = assignRids(table, parents, s)
+    schema = Some(s)
     val vid = nextVid
     write(vid, parents, c)
     parentsOf(vid) = parents
@@ -136,7 +140,7 @@ abstract class CvdStore(val spark: SparkSession, val dir: Path) {
     * versions are `graph`'s.
     */
   protected def registerGraph(data: DataFrame, graph: VersionGraph): Unit = {
-    schema = Some(recordSchemaOf(data))
+    schema = Some(recordSchemaOf(data.schema))
     graph.versions.foreach { v =>
       parentsOf(v.vid) = v.parents
       recordsOf(v.vid) = v.records
@@ -145,16 +149,20 @@ abstract class CvdStore(val spark: SparkSession, val dir: Path) {
     nextRid = graph.allRecords.intervals.lastOption.map(_._2 + 1).getOrElse(0L)
   }
 
-  /** The commit front end: one job collects the table's rids, which are
-    * validated against the parents on the driver. Rows with a null rid get
-    * `nextRid + rank - 1`, ranked by pk and then the value columns, so
+  /** The commit front end, with one Spark job: one `collect` returns every
+    * rid of `table`, and the whole row, in the record schema `s`, of each
+    * row whose rid is null. The rids are validated against the parents on
+    * the driver. The null-rid rows are ranked on the driver by pk and then
+    * the value columns, ascending with NULLs first, by Catalyst's own
+    * ordering (so as `ORDER BY` ranks them), and get `nextRid + rank - 1`:
     * equal input assigns equal rids. Advances `nextRid` past them.
     */
-  private def assignRids(table: DataFrame, parents: Seq[Int]): Commit = {
+  private def assignRids(table: DataFrame, parents: Seq[Int], s: StructType): Commit = {
     val unknown = parents.filterNot(recordsOf.contains)
     require(unknown.isEmpty, s"commit rejected: unknown parent version(s) ${unknown.mkString(", ")}")
-    val rids = table.select("rid").collect()
-    val kept = rids.iterator.filterNot(_.isNullAt(0)).map(_.getLong(0)).toVector
+    val rid = col("rid").cast(LongType)
+    val rows = table.select(rid, when(rid.isNull, struct(s.fieldNames.toSeq.map(col): _*))).collect()
+    val kept = rows.iterator.filterNot(_.isNullAt(0)).map(_.getLong(0)).toVector
     val keptSet = IntervalSet.fromSeq(kept)
     if (keptSet.size != kept.size) {
       val dup = kept.groupBy(identity).collectFirst { case (r, rs) if rs.size > 1 => r }.get
@@ -165,13 +173,17 @@ abstract class CvdStore(val spark: SparkSession, val dir: Path) {
     require(foreign.isEmpty,
       s"commit rejected: ${foreign.size} rid(s) in no parent of ${parents.mkString("[", ", ", "]")}, " +
         s"e.g. rid ${foreign.intervals.head._1}")
-    val nFresh = rids.length - kept.size
-    val order = ("pk" +: attrCols(table).filterNot(_ == "pk")).map(col)
-    val fresh = table.where(col("rid").isNull).withColumn(
-      "rid", row_number().over(Window.orderBy(order: _*)).cast("long") + lit(nextRid) - 1)
-    val records = keptSet.union(IntervalSet.range(nextRid, nextRid + nFresh - 1))
-    nextRid += nFresh
-    Commit(table.where(col("rid").isNotNull).unionByName(fresh), fresh, records)
+    val toInternal = CatalystTypeConverters.createToCatalystConverter(s)
+    val fresh = rows.collect { case r if r.isNullAt(0) => toInternal(r.getStruct(1)).asInstanceOf[InternalRow] }
+    val order = ("pk" +: attrCols(table).filterNot(_ == "pk")).map { c =>
+      val i = s.fieldIndex(c)
+      SortOrder(BoundReference(i, s(i).dataType, nullable = true), Ascending)
+    }
+    fresh.sortInPlace()(new InterpretedOrdering(order))
+    for (i <- fresh.indices) fresh(i).setLong(0, nextRid + i)
+    val records = keptSet.union(IntervalSet.range(nextRid, nextRid + fresh.length - 1))
+    nextRid += fresh.length
+    new Commit(table, s, fresh, records)
   }
 
   /** The parent sharing the most records with `records` (§4.1: a merge's
@@ -197,11 +209,21 @@ abstract class CvdStore(val spark: SparkSession, val dir: Path) {
 }
 
 object CvdStore {
-  /** A validated commit: `table` is every row of the new version with its
-    * rid, `fresh` only the rows given fresh rids, `records` the version's
-    * record set.
+  /** A validated commit of `input`: `freshRows` are the rows given fresh
+    * rids, in the record schema `schema` and in rid order, and `records`
+    * is the version's record set.
     */
-  final case class Commit(table: DataFrame, fresh: DataFrame, records: IntervalSet)
+  final class Commit(input: DataFrame, schema: StructType, val freshRows: Array[InternalRow],
+                     val records: IntervalSet) {
+    /** The fresh rows as a local relation. */
+    lazy val fresh: DataFrame = {
+      val toRow = CatalystTypeConverters.createToScalaConverter(schema)
+      input.sparkSession.createDataFrame(freshRows.toSeq.map(toRow(_).asInstanceOf[Row]).asJava, schema)
+    }
+
+    /** Every row of the new version, with its rid. */
+    lazy val table: DataFrame = input.where(col("rid").isNotNull).unionByName(fresh)
+  }
 
   /** Every DataFrame [[CvdStore.checkout]] has returned and not yet been
     * collected, with its version's record set. Keys are weak and compared
@@ -216,12 +238,12 @@ object CvdStore {
     */
   def checkedOut(df: DataFrame): Option[IntervalSet] = Option(checkouts.get(df))
 
-  /** `df`'s columns with rid first, every field nullable: the schema
-    * Parquet gives them back with.
+  /** `s`'s columns with rid first, as BIGINT, and every field nullable:
+    * the schema Parquet gives them back with.
     */
-  private def recordSchemaOf(df: DataFrame): StructType = {
-    val (rid, rest) = df.schema.fields.partition(_.name == "rid")
-    StructType((rid ++ rest).map(_.copy(nullable = true)))
+  private def recordSchemaOf(s: StructType): StructType = {
+    val (rid, rest) = s.fields.partition(_.name == "rid")
+    StructType((rid.map(_.copy(dataType = LongType)) ++ rest).map(_.copy(nullable = true)))
   }
 
   /** `s`'s columns as sorted "name type" strings: order and nullability

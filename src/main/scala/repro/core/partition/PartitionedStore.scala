@@ -22,9 +22,11 @@ import repro.core.model.CvdStore
   * |R_k| ≤ |R| rows.
   *
   * A commit joins the partition of the parent sharing the most records
-  * with it and appends one versioning row plus the net-new records — and,
-  * for a merge across partitions, the inherited records that partition
-  * lacks. `migrate` builds every new partition from the old partitions'
+  * with it and appends the net-new records, then one versioning row: the
+  * driver writes both files by [[Membership.writeRows]], so a commit runs
+  * one Spark job, the read of its input. A merge across partitions also
+  * appends the inherited records that partition lacks, in one Spark
+  * write. `migrate` builds every new partition from the old partitions'
   * files, so the store keeps no other copy of the data: it keeps an old
   * partition's files where the new one only adds records to it, and
   * writes every other partition's rows in one Spark job.
@@ -80,14 +82,21 @@ class PartitionedStore(spark: SparkSession, dir: Path) extends CvdStore(spark, d
   override protected def rowsOf(vid: Int, rids: IntervalSet): DataFrame =
     dataOf(scheme.pidOf(vid)).where(Membership.within(rids))
 
+  /** The commit's records first, then its versioning row, so a commit
+    * that fails leaves no versioning row naming unwritten records. The
+    * driver writes the fresh rows and the versioning row, with no Spark
+    * job; only a merge's inherited rows that the partition lacks take one
+    * Spark write.
+    */
   override protected def write(vid: Int, parents: Seq[Int], c: CvdStore.Commit): Unit = {
     val pid = closestParent(parents, c.records).map(scheme.pidOf).getOrElse(0)
-    Membership.writeRlists(spark, tablePath(pid, "versioning"), Seq(vid -> c.records))
-    c.fresh.write.mode("append").parquet(tablePath(pid, "data"))
+    if (c.freshRows.nonEmpty)
+      Membership.writeRows(spark, tablePath(pid, "data"), recordSchema, c.freshRows.iterator)
     val inherited = c.records.intersect(IntervalSet.unionAll(parents.map(recordsOf)))
     val lacking = inherited.diff(scheme.versionsOf.lift(pid).fold(IntervalSet.empty)(partitionRecords))
     if (!lacking.isEmpty)
       restrict(c.table, c.records, lacking).write.mode("append").parquet(tablePath(pid, "data"))
+    Membership.writeRlists(spark, tablePath(pid, "versioning"), Seq(vid -> c.records))
     scheme = PartitionScheme(scheme.assignment :+ pid)
   }
 

@@ -6,13 +6,17 @@ import org.apache.hadoop.fs.{FileSystem, Path, RawLocalFileSystem}
 import org.apache.hadoop.fs.permission.FsPermission
 import org.apache.parquet.hadoop.ParquetFileReader
 import org.apache.parquet.hadoop.util.HadoopInputFile
+import org.apache.parquet.schema.MessageTypeParser
 import org.apache.spark.sql.Row
+import org.apache.spark.sql.types._
 import org.scalatest.funsuite.AnyFunSuite
 import scala.jdk.CollectionConverters._
 import repro.{SparkJobs, SparkSpec}
+import repro.core.model.SplitByRlist
 
-/** The driver's versioning writer, `Membership.writeRlists`, against the
-  * files Spark writes, and the `file:` FileSystem it writes through.
+/** The driver's Parquet writer, `Membership.writeRows`, and its versioning
+  * rows, `Membership.writeRlists`, against the files Spark writes, and the
+  * `file:` FileSystem it writes through.
   */
 class RlistWriterSpec extends AnyFunSuite with SparkSpec {
 
@@ -30,6 +34,13 @@ class RlistWriterSpec extends AnyFunSuite with SparkSpec {
     try reader.getFooter.getFileMetaData finally reader.close()
   }
 
+  /** Parquet's message type for `Membership.VersioningSchema`, as Spark writes it. */
+  private val RlistMessage = MessageTypeParser.parseMessageType(
+    """message spark_schema {
+      |  optional int32 vid;
+      |  optional group rlist (LIST) { repeated group list { optional int64 element; } }
+      |}""".stripMargin)
+
   private val sets = Seq(
     3 -> IntervalSet.fromIntervals(Seq((0L, 4L), (9L, 9L))), 4 -> IntervalSet.empty, 7 -> IntervalSet.range(5, 6))
 
@@ -41,9 +52,29 @@ class RlistWriterSpec extends AnyFunSuite with SparkSpec {
     Membership.writeRlists(spark, root.resolve("driver").toString, sets)
     val (bySpark, byDriver) = (footer(root.resolve("spark")), footer(root.resolve("driver")))
     assert(byDriver.getSchema == bySpark.getSchema)
-    assert(byDriver.getSchema == Membership.RlistMessage)
+    assert(byDriver.getSchema == RlistMessage)
     val key = "org.apache.spark.sql.parquet.row.metadata"
     assert(byDriver.getKeyValueMetaData.get(key) == bySpark.getKeyValueMetaData.get(key))
+  }
+
+  test("a committed data file has the schema and row metadata Spark writes, and reads back") {
+    val root = Files.createTempDirectory("rows-footer")
+    val t = spark.createDataFrame(Seq[Row](
+        Row(null, 2L, 7, "zeta", -0.0), Row(null, 1L, null, "\u00e9t\u00e9", Double.NaN),
+        Row(null, null, 3, null, 1.5), Row(null, 1L, 7, "", null)).asJava,
+      StructType(Seq(StructField("rid", LongType), StructField("pk", LongType), StructField("a1", IntegerType),
+        StructField("a2", StringType), StructField("a3", DoubleType))))
+    val s = new SplitByRlist(spark, root.resolve("store"))
+    val co = s.checkout(s.commit(t, Seq.empty))
+    co.coalesce(1).write.parquet(root.resolve("spark").toString)
+    val data = root.resolve("store").resolve("part-0").resolve("data")
+    val (bySpark, byDriver) = (footer(root.resolve("spark")), footer(data))
+    assert(byDriver.getSchema == bySpark.getSchema)
+    val key = "org.apache.spark.sql.parquet.row.metadata"
+    assert(byDriver.getKeyValueMetaData.get(key) == bySpark.getKeyValueMetaData.get(key))
+    assert(co.schema == spark.read.parquet(data.toString).schema)
+    assert(co.collect().map(_.toString).toSet == Set(
+      "[0,null,3,null,1.5]", "[1,1,null,\u00e9t\u00e9,NaN]", "[2,1,7,,null]", "[3,2,7,zeta,-0.0]"))
   }
 
   test("a versioning write runs no Spark job and adds one file with its checksum") {

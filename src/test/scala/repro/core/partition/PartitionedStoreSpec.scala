@@ -10,7 +10,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.jdk.CollectionConverters._
 import repro.{Oracle, SparkJobs, SparkSpec}
 import repro.core.{IntervalSet, Membership, Version, VersionGraph, VersioningBenchmark}
-import repro.core.model.CvdStore
+import repro.core.model.{CvdStore, SplitByRlist}
 
 class PartitionedStoreSpec extends AnyFunSuite with SparkSpec {
 
@@ -220,6 +220,49 @@ class PartitionedStoreSpec extends AnyFunSuite with SparkSpec {
     oracleCheck(committed.checkout(16), expectedSql(16))
     oracleCheck(committed.diffVersions(16, mergeA),
       s"SELECT * FROM (${versionSql(mergeB)}) b WHERE rid NOT IN (SELECT rid FROM membership WHERE vid = '$mergeA')")
+  }
+
+  test("a commit onto one parent runs one Spark job and shuffles nothing, partitioned or not") {
+    val unpartitioned = new SplitByRlist(spark, Files.createTempDirectory("srl1"))
+    unpartitioned.load(data, graph)
+    for (s <- Seq(loaded(loadScheme), unpartitioned)) {
+      val (v, n) = SparkJobs.count(spark)(s.commit(edited, Seq(14)))
+      assert(n.jobs == 1 && n.shuffleWriteBytes == 0, n)
+      oracleCheck(s.checkout(v), expectedSql(15))
+    }
+  }
+
+  test("a first commit into an empty store runs one Spark job") {
+    val s = new PartitionedStore(spark, Files.createTempDirectory("pstoree"))
+    val t = edited.withColumn("rid", lit(null).cast("long")).localCheckpoint()
+    val (v, n) = SparkJobs.count(spark)(s.commit(t, Seq.empty))
+    assert(n.jobs == 1 && n.shuffleWriteBytes == 0, n)
+    assert(s.checkout(v).count() == t.count())
+  }
+
+  test("a merge across partitions runs two Spark jobs, the second writing the rows its partition lacks") {
+    val s = loaded(loadScheme)
+    val (v, n) = SparkJobs.count(spark)(s.commit(merged, Seq(mergeA, mergeB)))
+    val lacking = committedGraph.versions(16).records
+      .diff(CostModel.partitionRecords(graph, loadScheme.versionsOf(s.currentScheme.pidOf(v))))
+    assert(n.jobs == 2 && n.shuffleWriteBytes == 0 && n.rowsWritten == lacking.size, n)
+    oracleCheck(s.checkout(v), expectedSql(16))
+  }
+
+  test("a commit whose data write fails leaves no new file, and every version reads as before") {
+    val s = loaded(loadScheme)
+    val before = storeFiles(s)
+    // A file in place of the data directory: unlike a read-only mode, it
+    // stops the write for every user, root included.
+    val data = s.dir.resolve(s"part-${loadScheme.pidOf(14)}").resolve("data")
+    val aside = data.resolveSibling("data-aside")
+    Files.move(data, aside)
+    Files.createFile(data)
+    try intercept[java.io.IOException](s.commit(edited, Seq(14)))
+    finally { Files.delete(data); Files.move(aside, data) }
+    assert(storeFiles(s) == before)
+    assert(s.numVersions == graph.numVersions && s.currentScheme == loadScheme)
+    oracleEveryVersion(s, graph.numVersions)
   }
 
   test("partition files hold exactly the scheme's record sets") {
